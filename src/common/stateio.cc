@@ -113,7 +113,9 @@ writeCheckpointFile(const std::string &path, std::uint64_t config_hash,
     putU32(header, crc32(payload.data(), payload.size()));
     header.insert(header.end(), build.begin(), build.end());
 
-    const std::string tmp = path + ".tmp";
+    // A pid-unique temp name: two processes writing the same path
+    // (a reclaimed lease) must not interleave their bytes in one file.
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr)
         return classifyWriteErrno(errno,

@@ -1,9 +1,9 @@
 /**
  * @file
  * Checkpoint serialization for the simulator: a single `StateIO`
- * visitor that both writes and reads a flat little-endian byte image
- * of the machine, plus the versioned/checksummed checkpoint file
- * container around it.
+ * visitor that both writes and reads a compact byte image of the
+ * machine (varint integers, run-length encoded sequences), plus the
+ * versioned/checksummed checkpoint file container around it.
  *
  * Every stateful component implements
  *
@@ -25,10 +25,13 @@
 #ifndef BOUQUET_COMMON_STATEIO_HH
 #define BOUQUET_COMMON_STATEIO_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -47,8 +50,10 @@ class RespTarget;
  *  serialize per-class issue counters and the epoch-history ring.
  *  v4: the run-state phase byte gained WarmupDone (the warm-state
  *  sharing boundary, DESIGN.md §5h), shifting the numeric value of
- *  the later phases; simInstrs is bound at measurement start. */
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+ *  the later phases; simInstrs is bound at measurement start.
+ *  v5: integers are LEB128 varints, and vectors, deques and arrays
+ *  are run-length encoded (StateIO::ioRuns). */
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /** CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-based. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
@@ -203,7 +208,7 @@ class StateIO
     /**
      * Generic scalar/struct dispatch: enums go through their
      * underlying integer, floating point through its bit pattern,
-     * integers as fixed-width little-endian, anything else via its
+     * integers as varints (see ioInt), anything else via its
      * own serialize() member.
      */
     template <typename T>
@@ -258,55 +263,33 @@ class StateIO
     void
     io(std::vector<bool> &v)
     {
-        std::uint64_t n = v.size();
-        io(n);
-        if (reading()) {
-            guardCount(n);
-            v.assign(static_cast<std::size_t>(n), false);
-        }
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            bool b = v[i];
-            io(b);
-            v[i] = b;
-        }
+        std::vector<std::uint8_t> bytes;
+        if (writing())
+            bytes.assign(v.begin(), v.end());
+        io(bytes);
+        if (reading())
+            v.assign(bytes.begin(), bytes.end());
     }
 
     template <typename T>
     void
     io(std::vector<T> &v)
     {
-        std::uint64_t n = v.size();
-        io(n);
-        if (reading()) {
-            guardCount(n);
-            v.clear();
-            v.resize(static_cast<std::size_t>(n));
-        }
-        for (T &e : v)
-            io(e);
+        ioCounted(v);
     }
 
     template <typename T>
     void
     io(std::deque<T> &v)
     {
-        std::uint64_t n = v.size();
-        io(n);
-        if (reading()) {
-            guardCount(n);
-            v.clear();
-            v.resize(static_cast<std::size_t>(n));
-        }
-        for (T &e : v)
-            io(e);
+        ioCounted(v);
     }
 
     template <typename T, std::size_t N>
     void
     io(std::array<T, N> &v)
     {
-        for (T &e : v)
-            io(e);
+        ioRuns(v.begin(), N);
     }
 
   private:
@@ -340,36 +323,296 @@ class StateIO
     }
 
     /**
-     * An element count larger than the bytes left cannot be honest
-     * (every element serializes at least one byte); rejecting it here
-     * keeps a fuzzed length field from forcing a huge allocation.
+     * Sequence run encoding (PackBits-style). A sequence is a series
+     * of runs, each a one-byte header followed by its elements:
+     * header h < 128 is a literal block of h + 1 elements serialized
+     * one after another; h >= 128 is a repeat run, one element that
+     * stands for h - 126 equal consecutive elements.
      */
+    static constexpr std::size_t kMaxLiteral = 128;
+    static constexpr std::size_t kMaxRepeat = 129;
+    static constexpr std::size_t kRepeatBase = 126;
+
+    /** Element types that go through ioInt() without a serialize(). */
+    template <typename T>
+    static constexpr bool kPacked =
+        (std::is_integral_v<T> && !std::is_same_v<T, bool>) ||
+        std::is_enum_v<T>;
+
+    /**
+     * A run covers at most kMaxRepeat elements and occupies at least
+     * its header byte, plus one varint byte for a packed element. An
+     * element count beyond what the bytes left can encode cannot be
+     * honest; rejecting it here, before the caller allocates, keeps a
+     * fuzzed length field from forcing a huge allocation.
+     */
+    template <typename T>
     void
     guardCount(std::uint64_t n) const
     {
-        if (n > remaining())
+        const std::size_t run_bytes = kPacked<T> ? 2 : 1;
+        if (n > remaining() / run_bytes * kMaxRepeat)
             fail(Errc::corrupt,
                  "checkpoint element count " + std::to_string(n) +
-                     " exceeds remaining payload");
+                     " exceeds what the remaining payload can encode");
+    }
+
+    static std::uint8_t
+    runHeader(bool repeat, std::size_t k)
+    {
+        return static_cast<std::uint8_t>(repeat ? k + kRepeatBase : k - 1);
+    }
+
+    /** Read one run header; `left` elements are still owed. */
+    std::size_t
+    readRunHeader(std::size_t left, bool &repeat)
+    {
+        need(1);
+        const std::uint8_t h = buf_[pos_++];
+        repeat = h >= kMaxLiteral;
+        const std::size_t k = repeat ? h - kRepeatBase : h + std::size_t{1};
+        if (k > left)
+            fail(Errc::corrupt,
+                 "checkpoint run of " + std::to_string(k) +
+                     " elements overruns the declared count");
+        return k;
+    }
+
+    /** A resizable container: element count, then its runs. */
+    template <typename Seq>
+    void
+    ioCounted(Seq &v)
+    {
+        std::uint64_t n = v.size();
+        io(n);
+        if (reading()) {
+            guardCount<typename Seq::value_type>(n);
+            v.clear();
+            v.resize(static_cast<std::size_t>(n));
+        }
+        ioRuns(v.begin(), v.size());
+    }
+
+    /** Both codecs write the same run format; integer arrays in
+     *  contiguous storage take the one that compares by value. */
+    template <typename It>
+    void
+    ioRuns(It first, std::size_t n)
+    {
+        using T = typename std::iterator_traits<It>::value_type;
+        if constexpr (kPacked<T> && std::contiguous_iterator<It>) {
+            if (writing())
+                writePacked(std::to_address(first), n);
+            else
+                readPacked(std::to_address(first), n);
+        } else if (writing()) {
+            writeRuns(first, n);
+        } else {
+            readRuns(first, n);
+        }
+    }
+
+    /**
+     * Runs straight over an integer array, compared by value. A repeat
+     * run starts wherever two equal elements do; a literal block runs
+     * up to the next such pair and is encoded into the buffer in one
+     * resize.
+     */
+    template <typename T>
+    void
+    writePacked(const T *p, std::size_t n)
+    {
+        std::size_t i = 0;
+        while (i < n) {
+            std::size_t k = 1;
+            while (i + k < n && k < kMaxRepeat && p[i + k] == p[i])
+                ++k;
+            const bool repeat = k > 1;
+            if (!repeat) {
+                while (i + k < n && k < kMaxLiteral &&
+                       !(i + k + 1 < n && p[i + k] == p[i + k + 1]))
+                    ++k;
+            }
+            const std::size_t at = buf_.size();
+            const std::size_t elems = repeat ? 1 : k;
+            buf_.resize(at + 1 + elems * kMaxVarint);
+            std::uint8_t *out = buf_.data() + at;
+            *out++ = runHeader(repeat, k);
+            for (std::size_t j = 0; j < elems; ++j)
+                out = putVarint(out, toWire(p[i + j]));
+            buf_.resize(static_cast<std::size_t>(out - buf_.data()));
+            i += k;
+        }
+    }
+
+    template <typename T>
+    void
+    readPacked(T *p, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n;) {
+            bool repeat = false;
+            const std::size_t k = readRunHeader(n - i, repeat);
+            for (std::size_t j = 0; j < (repeat ? 1 : k); ++j)
+                p[i + j] = fromWire<T>(getVarint());
+            if (repeat)
+                std::fill(p + i + 1, p + i + k, p[i]);
+            i += k;
+        }
+    }
+
+    /**
+     * Runs of elements serialized through their own io(): each
+     * element is appended, then compared byte-for-byte with the one
+     * before it. An equal element extends (or starts) a repeat run and
+     * is dropped; a new run gets its header inserted in front of its
+     * first element, which moves only that element's bytes.
+     */
+    template <typename It>
+    void
+    writeRuns(It it, std::size_t n)
+    {
+        std::size_t hdr = 0;   // offset of the open run's header
+        std::size_t prev = 0;  // offset of the last element written
+        std::size_t count = 0;
+        bool repeat = false;
+        auto open_run_at = [&](std::size_t at) {
+            buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(at),
+                        std::uint8_t{0});
+            hdr = at;
+            prev = at + 1;
+        };
+        for (std::size_t i = 0; i < n; ++i, ++it) {
+            const std::size_t cur = buf_.size();
+            io(*it);
+            const std::size_t len = buf_.size() - cur;
+            const bool same =
+                count > 0 && len == cur - prev &&
+                std::memcmp(buf_.data() + prev, buf_.data() + cur, len) == 0;
+            if (same && count < kMaxRepeat && (repeat || count == 1)) {
+                buf_.resize(cur);
+                repeat = true;
+                ++count;
+            } else if (same && !repeat) {
+                // The literal's last element starts a repeat run.
+                buf_[hdr] = runHeader(false, count - 1);
+                buf_.resize(cur);
+                open_run_at(prev);
+                repeat = true;
+                count = 2;
+            } else if (count > 0 && !repeat && count < kMaxLiteral) {
+                prev = cur;
+                ++count;
+            } else {
+                if (count > 0)
+                    buf_[hdr] = runHeader(repeat, count);
+                open_run_at(cur);
+                repeat = false;
+                count = 1;
+            }
+        }
+        if (count > 0)
+            buf_[hdr] = runHeader(repeat, count);
+    }
+
+    /** A repeat run deserializes its one element into every slot it
+     *  covers, exactly as if the element had been written each time. */
+    template <typename It>
+    void
+    readRuns(It it, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n;) {
+            bool repeat = false;
+            const std::size_t k = readRunHeader(n - i, repeat);
+            const std::size_t at = pos_;
+            for (std::size_t j = 0; j < k; ++j, ++it) {
+                if (repeat)
+                    pos_ = at;
+                io(*it);
+            }
+            i += k;
+        }
+    }
+
+    /**
+     * Integers travel as LEB128 varints (7 bits a byte, low first),
+     * signed ones zigzag-mapped first, so the zero and small values
+     * that fill most of the machine's state take one or two bytes.
+     */
+    static constexpr std::size_t kMaxVarint = 10;
+
+    static std::uint8_t *
+    putVarint(std::uint8_t *out, std::uint64_t u)
+    {
+        while (u >= 0x80) {
+            *out++ = static_cast<std::uint8_t>(u | 0x80);
+            u >>= 7;
+        }
+        *out++ = static_cast<std::uint8_t>(u);
+        return out;
+    }
+
+    std::uint64_t
+    getVarint()
+    {
+        std::uint64_t u = 0;
+        for (unsigned shift = 0;; shift += 7) {
+            need(1);
+            const std::uint8_t b = buf_[pos_++];
+            if (shift == 63 && b > 1)
+                fail(Errc::corrupt, "checkpoint varint overflows 64 bits");
+            u |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+            if (b < 0x80)
+                return u;
+        }
+    }
+
+    template <typename T>
+    static std::uint64_t
+    toWire(T v)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            return toWire(static_cast<std::underlying_type_t<T>>(v));
+        } else if constexpr (std::is_signed_v<T>) {
+            const auto s = static_cast<std::int64_t>(v);
+            return (static_cast<std::uint64_t>(s) << 1) ^
+                   static_cast<std::uint64_t>(s >> 63);
+        } else {
+            return static_cast<std::uint64_t>(v);
+        }
+    }
+
+    template <typename T>
+    static T
+    fromWire(std::uint64_t u)
+    {
+        if constexpr (std::is_enum_v<T>) {
+            return static_cast<T>(
+                fromWire<std::underlying_type_t<T>>(u));
+        } else {
+            using Wide = std::conditional_t<std::is_signed_v<T>,
+                                            std::int64_t, std::uint64_t>;
+            Wide w = static_cast<Wide>(u);
+            if constexpr (std::is_signed_v<T>)
+                w = static_cast<std::int64_t>(u >> 1) ^
+                    -static_cast<std::int64_t>(u & 1);
+            if (!std::in_range<T>(w))
+                fail(Errc::corrupt, "checkpoint integer " +
+                                        std::to_string(w) +
+                                        " out of range for its field");
+            return static_cast<T>(w);
+        }
     }
 
     template <typename T>
     void
     ioInt(T &v)
     {
-        using U = std::make_unsigned_t<T>;
         if (writing()) {
-            const U u = static_cast<U>(v);
-            for (std::size_t i = 0; i < sizeof(U); ++i)
-                buf_.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
+            std::uint8_t bytes[kMaxVarint];
+            buf_.insert(buf_.end(), bytes, putVarint(bytes, toWire(v)));
             return;
         }
-        need(sizeof(U));
-        U u = 0;
-        for (std::size_t i = 0; i < sizeof(U); ++i)
-            u |= static_cast<U>(buf_[pos_ + i]) << (8 * i);
-        pos_ += sizeof(U);
-        v = static_cast<T>(u);
+        v = fromWire<T>(getVarint());
     }
 
     Mode mode_;
@@ -381,8 +624,10 @@ class StateIO
 /**
  * Write `payload` to `path` inside the checkpoint container:
  * magic + version + build id + config hash + size + CRC, written to
- * a temp file and atomically renamed into place so a crash mid-write
- * never leaves a half-valid checkpoint. Fault point: `ckpt.write`.
+ * a pid-unique temp file (`path.tmp.<pid>`) and atomically renamed
+ * into place, so neither a crash mid-write nor a second process
+ * writing the same path leaves a half-valid checkpoint. Fault point:
+ * `ckpt.write`.
  */
 Status writeCheckpointFile(const std::string &path,
                            std::uint64_t config_hash,

@@ -117,12 +117,13 @@ prepareSystem(const BuildFn &build, const ExperimentConfig &cfg,
             p.sys->setWarmupHook([&store, warm_key](System &s) {
                 // Publish failure is degraded, not fatal: the store
                 // warns once and counts it (§5i), and in-process
-                // sharing still works, so stay silent here. A capture
-                // failure never reaches the store, so count it here.
+                // sharing still works, so its Status is dropped here.
+                // A capture failure never reaches the store, so count
+                // it here.
                 Result<std::vector<std::uint8_t>> r = s.captureState();
                 if (r.ok())
-                    store.publish(warm_key, s.configHash(),
-                                  std::move(r.value()));
+                    (void)store.publish(warm_key, s.configHash(),
+                                        std::move(r.value()));
                 else
                     noteDegraded(DegradeKind::warm, r.error());
             });

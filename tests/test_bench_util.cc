@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "bench/bench_util.hh"
+#include "tests/test_support.hh"
 
 namespace bouquet
 {
@@ -44,9 +45,11 @@ TEST(BenchUtil, TableIIISetEndsWithIpcp)
 
 TEST(BenchUtil, RunIsDiskCachedAndStable)
 {
-    // Point the cache at a scratch file so this test is hermetic.
-    setenv("IPCP_CACHE_FILE", "/tmp/bouquet_test_cache.bin", 1);
-    std::remove("/tmp/bouquet_test_cache.bin");
+    // Point the cache at a scratch file so this test is hermetic. The
+    // directory lives as long as the process: the bench's store keeps
+    // the path it first saw.
+    static const test::TempDir dir;
+    setenv("IPCP_CACHE_FILE", dir.file("bench_cache.bin").c_str(), 1);
 
     ExperimentConfig cfg;
     cfg.simInstrs = 30'000;
@@ -58,7 +61,6 @@ TEST(BenchUtil, RunIsDiskCachedAndStable)
     const Outcome b = run(spec, none.label, none.attach, cfg);
     EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
     EXPECT_EQ(a.instructions, b.instructions);
-    std::remove("/tmp/bouquet_test_cache.bin");
 }
 
 TEST(BenchUtil, SensitivitySubsetIsValid)

@@ -37,6 +37,7 @@
 #include "harness/outcomestore.hh"
 #include "harness/runner.hh"
 #include "trace/suite.hh"
+#include "tests/test_support.hh"
 
 namespace bouquet::campaign
 {
@@ -62,25 +63,7 @@ class CampaignTest : public ::testing::Test
     }
 };
 
-/** RAII temp directory for campaign/queue state. */
-struct TempDir
-{
-    TempDir()
-    {
-        char buf[] = "/tmp/bouquet_campaign_XXXXXX";
-        path = ::mkdtemp(buf);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path); }
-
-    std::string
-    file(const std::string &name) const
-    {
-        return path + "/" + name;
-    }
-
-    std::string path;
-};
+using test::TempDir;
 
 /** Scoped environment override, restored on destruction. */
 struct EnvGuard

@@ -18,6 +18,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "common/faultinject.hh"
 #include "common/stateio.hh"
 #include "core/system.hh"
@@ -25,6 +28,7 @@
 #include "harness/factory.hh"
 #include "harness/runner.hh"
 #include "trace/suite.hh"
+#include "tests/test_support.hh"
 
 namespace bouquet
 {
@@ -50,25 +54,7 @@ class CheckpointTest : public ::testing::Test
     }
 };
 
-/** RAII temp directory for checkpoint files. */
-struct TempDir
-{
-    TempDir()
-    {
-        char buf[] = "/tmp/bouquet_ckpt_XXXXXX";
-        path = ::mkdtemp(buf);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path); }
-
-    std::string
-    file(const std::string &name) const
-    {
-        return path + "/" + name;
-    }
-
-    std::string path;
-};
+using test::TempDir;
 
 ExperimentConfig
 tinyConfig()
@@ -213,8 +199,9 @@ TEST_F(CheckpointTest, StateIoRoundTripsEveryKind)
 
 TEST_F(CheckpointTest, StateIoRejectsShortBuffersAndFuzzedCounts)
 {
-    // A read past the end of the payload is a truncation.
-    StateIO r = StateIO::reader({0x01, 0x02});
+    // A read past the end of the payload is a truncation: both bytes
+    // carry the varint continuation bit, so the integer never ends.
+    StateIO r = StateIO::reader({0x81, 0x82});
     std::uint64_t v = 0;
     try {
         r.io(v);
@@ -309,6 +296,51 @@ TEST_F(CheckpointTest, ContainerRejectionMatrix)
 
     // Missing file.
     EXPECT_EQ(loadErrc(dir.file("nope.ckpt"), hash), Errc::io);
+}
+
+TEST_F(CheckpointTest, ConcurrentWritersOfOnePathEachLeaveAValidFile)
+{
+    // Two processes writing one checkpoint path, as after a lease
+    // reclaim. Equal-sized payloads: bytes interleaved in a shared
+    // temp file would pass the size check and fail the CRC.
+    TempDir dir;
+    const std::string path = dir.file("shared.ckpt");
+    const std::uint64_t hash = 0x5eed;
+    std::vector<std::uint8_t> payloads[2];
+    for (int k = 0; k < 2; ++k) {
+        payloads[k].resize(64 * 1024);
+        for (std::size_t i = 0; i < payloads[k].size(); ++i)
+            payloads[k][i] = static_cast<std::uint8_t>(i * (7 + 6 * k));
+    }
+
+    pid_t writers[2];
+    for (int k = 0; k < 2; ++k) {
+        writers[k] = ::fork();
+        ASSERT_GE(writers[k], 0);
+        if (writers[k] == 0) {
+            bool ok = true;
+            for (int i = 0; i < 40 && ok; ++i) {
+                ok = writeCheckpointFile(path, hash, payloads[k]).ok();
+                Result<std::vector<std::uint8_t>> back =
+                    readCheckpointFile(path, hash);
+                ok = ok && back.ok() &&
+                     (back.value() == payloads[0] ||
+                      back.value() == payloads[1]);
+            }
+            ::_exit(ok ? 0 : 1);
+        }
+    }
+    for (const pid_t pid : writers) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "a writer failed, or read back an invalid checkpoint";
+    }
+    EXPECT_TRUE(readCheckpointFile(path, hash).ok());
+    // Both temp files were renamed away.
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir.path),
+                            std::filesystem::directory_iterator()),
+              1);
 }
 
 // ---- whole-system save/load ----

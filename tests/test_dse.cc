@@ -20,30 +20,14 @@
 #include "harness/factory.hh"
 #include "harness/runner.hh"
 #include "trace/suite.hh"
+#include "tests/test_support.hh"
 
 namespace bouquet
 {
 namespace
 {
 
-struct TempDir
-{
-    TempDir()
-    {
-        char buf[] = "/tmp/bouquet_dse_XXXXXX";
-        path = ::mkdtemp(buf);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path); }
-
-    std::string
-    file(const std::string &name) const
-    {
-        return path + "/" + name;
-    }
-
-    std::string path;
-};
+using test::TempDir;
 
 /** Scoped environment override, restored on destruction. */
 struct EnvGuard

@@ -22,6 +22,7 @@
 #include "harness/runner.hh"
 #include "trace/trace_io.hh"
 #include "trace/workloads.hh"
+#include "tests/test_support.hh"
 
 namespace bouquet
 {
@@ -93,26 +94,7 @@ fakeOutcome(double ipc)
     return o;
 }
 
-/** RAII temp file path. */
-struct TempFile
-{
-    TempFile()
-    {
-        char buf[] = "/tmp/bouquet_fault_XXXXXX";
-        const int fd = mkstemp(buf);
-        if (fd >= 0)
-            close(fd);
-        path = buf;
-    }
-
-    ~TempFile()
-    {
-        std::remove(path.c_str());
-        std::remove((path + ".lock").c_str());
-    }
-
-    std::string path;
-};
+using test::TempDir;
 
 // ---- spec parsing ----
 
@@ -239,17 +221,18 @@ TEST_F(FaultTest, RegistryIsThreadSafe)
 
 TEST_F(FaultTest, TraceReadFaultFailsOnceThenLoads)
 {
-    TempFile tmp;
+    TempDir tmp;
+    const std::string path = tmp.file("w.trace");
     ConstantStrideParams p;
     ConstantStrideGen gen("w", 7, p);
-    writeTraceFile(tmp.path, gen, 10);
+    writeTraceFile(path, gen, 10);
 
     ASSERT_TRUE(
         FaultRegistry::instance().configure("trace.read@1").ok());
-    auto first = TraceFileGenerator::load(tmp.path);
+    auto first = TraceFileGenerator::load(path);
     ASSERT_FALSE(first.ok());
     EXPECT_EQ(first.error().code, Errc::injected);
-    auto second = TraceFileGenerator::load(tmp.path);
+    auto second = TraceFileGenerator::load(path);
     ASSERT_TRUE(second.ok()) << second.error().message;
     EXPECT_EQ(second.value()->size(), 10u);
 }
@@ -407,8 +390,9 @@ TEST_F(FaultTest, CacheFillFaultFailsOnlyItsJob)
 
 TEST_F(FaultTest, StoreWriteFaultKeepsEntryInMemory)
 {
-    TempFile tmp;
-    OutcomeStore store(tmp.path);
+    TempDir tmp;
+    const std::string path = tmp.file("store.bin");
+    OutcomeStore store(path);
     ASSERT_TRUE(
         FaultRegistry::instance().configure("store.write@1").ok());
 
@@ -422,7 +406,7 @@ TEST_F(FaultTest, StoreWriteFaultKeepsEntryInMemory)
     // recovering the entry that failed to land.
     EXPECT_TRUE(store.put("b|ipcp|1", fakeOutcome(2.5)).ok());
     FaultRegistry::instance().clear();
-    OutcomeStore reloaded(tmp.path);
+    OutcomeStore reloaded(path);
     EXPECT_EQ(reloaded.size(), 2u);
     EXPECT_TRUE(reloaded.get("a|none|1", out));
     EXPECT_DOUBLE_EQ(out.ipc, 1.5);
@@ -430,14 +414,15 @@ TEST_F(FaultTest, StoreWriteFaultKeepsEntryInMemory)
 
 TEST_F(FaultTest, StoreFlockFaultFallsBackToUnlockedWrite)
 {
-    TempFile tmp;
-    OutcomeStore store(tmp.path);
+    TempDir tmp;
+    const std::string path = tmp.file("store.bin");
+    OutcomeStore store(path);
     ASSERT_TRUE(
         FaultRegistry::instance().configure("store.flock@1").ok());
     EXPECT_TRUE(store.put("a|none|1", fakeOutcome(1.5)).ok());
     EXPECT_EQ(store.lockFailures(), 1u);
     FaultRegistry::instance().clear();
-    OutcomeStore reloaded(tmp.path);  // atomic rename still published
+    OutcomeStore reloaded(path);  // atomic rename still published
     Outcome out;
     EXPECT_TRUE(reloaded.get("a|none|1", out));
     EXPECT_DOUBLE_EQ(out.ipc, 1.5);
@@ -445,14 +430,15 @@ TEST_F(FaultTest, StoreFlockFaultFallsBackToUnlockedWrite)
 
 TEST_F(FaultTest, StoreReadFaultDegradesToEmptyCache)
 {
-    TempFile tmp;
+    TempDir tmp;
+    const std::string path = tmp.file("store.bin");
     {
-        OutcomeStore store(tmp.path);
+        OutcomeStore store(path);
         ASSERT_TRUE(store.put("a|none|1", fakeOutcome(1.5)).ok());
     }
     ASSERT_TRUE(
         FaultRegistry::instance().configure("store.read@1").ok());
-    OutcomeStore store(tmp.path);  // load faulted: starts empty
+    OutcomeStore store(path);  // load faulted: starts empty
     EXPECT_EQ(store.size(), 0u);
     // A memory miss re-reads the file (hit 2: no fault) and finds the
     // entry instead of forcing a re-simulation.

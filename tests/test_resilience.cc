@@ -37,31 +37,14 @@
 #include "trace/suite.hh"
 #include "trace/trace_io.hh"
 #include "trace/tracepool.hh"
+#include "tests/test_support.hh"
 
 namespace bouquet
 {
 namespace
 {
 
-/** RAII temp directory. */
-struct TempDir
-{
-    TempDir()
-    {
-        char buf[] = "/tmp/bouquet_resil_XXXXXX";
-        path = ::mkdtemp(buf);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path); }
-
-    std::string
-    file(const std::string &name) const
-    {
-        return path + "/" + name;
-    }
-
-    std::string path;
-};
+using test::TempDir;
 
 /** Scoped environment override, restored on destruction. */
 struct EnvGuard

@@ -18,6 +18,7 @@
 
 #include "bench/bench_util.hh"
 #include "harness/runner.hh"
+#include "tests/test_support.hh"
 
 namespace bouquet
 {
@@ -195,22 +196,8 @@ TEST(Runner, RunCacheIsRaceFreeUnderConcurrentIpc)
 class OutcomeStoreTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        path_ = ::testing::TempDir() + "bouquet_runner_cache.bin";
-        std::remove(path_.c_str());
-        std::remove((path_ + ".lock").c_str());
-    }
-
-    void
-    TearDown() override
-    {
-        std::remove(path_.c_str());
-        std::remove((path_ + ".lock").c_str());
-    }
-
-    std::string path_;
+    test::TempDir dir_;
+    std::string path_ = dir_.file("bouquet_runner_cache.bin");
 };
 
 TEST_F(OutcomeStoreTest, RoundTripsThroughDisk)

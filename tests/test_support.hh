@@ -1,13 +1,16 @@
 /**
  * @file
- * Shared test fixtures: a fake prefetch host that records issued
- * prefetches, and a stub memory that services cache requests after a
- * fixed delay.
+ * Shared test fixtures: a per-process-unique scratch directory, a
+ * fake prefetch host that records issued prefetches, and a stub memory
+ * that services cache requests after a fixed delay.
  */
 
 #ifndef BOUQUET_TESTS_TEST_SUPPORT_HH
 #define BOUQUET_TESTS_TEST_SUPPORT_HH
 
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -16,6 +19,41 @@
 
 namespace bouquet::test
 {
+
+/**
+ * RAII scratch directory, unique to this instance and process, removed
+ * with its contents on destruction. ctest runs every test as its own
+ * process, in parallel under `-j`, so a fixed file name under the
+ * system temp directory would be shared by concurrent tests.
+ */
+struct TempDir
+{
+    TempDir()
+    {
+        std::string pattern =
+            (std::filesystem::temp_directory_path() / "bouquet_XXXXXX")
+                .string();
+        if (::mkdtemp(pattern.data()) != nullptr)
+            path = pattern;
+    }
+
+    ~TempDir()
+    {
+        if (!path.empty())
+            std::filesystem::remove_all(path);
+    }
+
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    std::string
+    file(const std::string &name) const
+    {
+        return path + "/" + name;
+    }
+
+    std::string path;
+};
 
 /** Records every prefetch a prefetcher under test issues. */
 class FakeHost : public PrefetchHost

@@ -23,6 +23,7 @@
 #include "campaign/aggregate.hh"
 #include "campaign/campaign.hh"
 #include "campaign/worker.hh"
+#include "common/stateio.hh"
 #include "common/statsink.hh"
 #include "harness/experiment.hh"
 #include "harness/factory.hh"
@@ -30,31 +31,14 @@
 #include "trace/suite.hh"
 #include "trace/trace_io.hh"
 #include "trace/tracepool.hh"
+#include "tests/test_support.hh"
 
 namespace bouquet
 {
 namespace
 {
 
-/** RAII temp directory. */
-struct TempDir
-{
-    TempDir()
-    {
-        char buf[] = "/tmp/bouquet_warm_XXXXXX";
-        path = ::mkdtemp(buf);
-    }
-
-    ~TempDir() { std::filesystem::remove_all(path); }
-
-    std::string
-    file(const std::string &name) const
-    {
-        return path + "/" + name;
-    }
-
-    std::string path;
-};
+using test::TempDir;
 
 /** Scoped environment override, restored on destruction. */
 struct EnvGuard
@@ -245,6 +229,32 @@ TEST(WarmStore, UnusableWarmFilesHealToMiss)
         EXPECT_EQ(store.heals(), 1u);
         EXPECT_FALSE(std::filesystem::exists(path));
     }
+}
+
+TEST(WarmStore, PreviousFormatVersionHealsToMiss)
+{
+    TempDir dir;
+    const std::string key = "k|v4";
+    WarmStore seed(dir.file("warm"));
+    ASSERT_TRUE(
+        seed.publish(key, 7, std::vector<std::uint8_t>(512, 0x11)).ok());
+    const std::string path = seed.pathFor(key);
+
+    // Stamp the container with format version 4 (header bytes 8-11),
+    // the last one before sequences were run-length encoded.
+    std::string image = readAll(path);
+    ASSERT_GT(image.size(), 12u);
+    image.replace(8, 4, std::string("\x04\0\0\0", 4));
+    writeAll(path, image);
+    Result<std::vector<std::uint8_t>> direct = readCheckpointFile(path, 7);
+    ASSERT_FALSE(direct.ok());
+    EXPECT_EQ(direct.error().code, Errc::bad_version);
+
+    WarmStore store(dir.file("warm"));
+    EXPECT_EQ(store.fetch(key, 7), nullptr);
+    EXPECT_EQ(store.misses(), 1u);
+    EXPECT_EQ(store.heals(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // ---- the §5h contract: warm-started == cold, byte for byte ----

@@ -3,15 +3,14 @@
  * Simulator-throughput benchmark: simulated kilo-instructions per
  * wall-second (KIPS) across {no-pf, IPCP L1, multi-level IPCP} x
  * {1-, 4-, 8-core}, each in both the event-skipping loop and the
- * forced tick-every-cycle mode (IPCP_NO_SKIP semantics), plus a
- * thread sweep of the parallel cluster-phase tick (2 and 4 pool
- * threads on the multi-core IPCP rows) — so the perf trajectory of
- * the simulator itself is a tracked artifact, not folklore.
+ * forced tick-every-cycle mode (IPCP_NO_SKIP semantics) — so the
+ * perf trajectory of the simulator itself is a tracked artifact, not
+ * folklore.
  *
  * Besides the google-benchmark console output, the binary writes
  * BENCH_throughput.json (path override: IPCP_THROUGHPUT_JSON) with one
- * entry per configuration: KIPS, wall seconds, instructions, thread
- * count, and the skip ratio. The baseline for the recorded speedup is
+ * entry per configuration: KIPS, wall seconds, instructions and the
+ * skip ratio. The baseline for the recorded speedup is
  * the seed commit's headline KIPS (778: 1-core multi-level IPCP on
  * the tier-1 mcf sim-point); IPCP_BASELINE_KIPS overrides it, e.g. to
  * compare against a local build of main.
@@ -49,7 +48,6 @@ struct Sample
 {
     std::string combo;
     unsigned cores = 0;
-    unsigned threads = 1;  //!< cluster-phase tick threads (1 = serial)
     bool skip = true;
     std::uint64_t instructions = 0;
     double seconds = 0.0;
@@ -85,26 +83,18 @@ benchConfig(bool tick_every_cycle)
 
 void
 runSim(benchmark::State &state, const std::string &combo_name,
-       unsigned cores, bool skip, unsigned threads)
+       unsigned cores, bool skip)
 {
     const bench::Combo combo = bench::namedCombo(combo_name);
-    ExperimentConfig cfg = benchConfig(!skip);
-    cfg.system.tickThreads = threads;
+    const ExperimentConfig cfg = benchConfig(!skip);
     const TraceSpec &spec = findTrace(kTrace);
 
     char key[64];
-    if (threads > 1)
-        std::snprintf(key, sizeof(key), "%s/%ucore/%s/t%u",
-                      combo_name.c_str(), cores,
-                      skip ? "skip" : "noskip", threads);
-    else
-        std::snprintf(key, sizeof(key), "%s/%ucore/%s",
-                      combo_name.c_str(), cores,
-                      skip ? "skip" : "noskip");
+    std::snprintf(key, sizeof(key), "%s/%ucore/%s", combo_name.c_str(),
+                  cores, skip ? "skip" : "noskip");
     Sample &s = samples()[key];
     s.combo = combo_name;
     s.cores = cores;
-    s.threads = threads;
     s.skip = skip;
 
     for (auto _ : state) {
@@ -164,7 +154,7 @@ writeJson(const std::string &path)
         headline = it->second.kipsValue();
 
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"ipcp-bench-throughput-v2\",\n");
+    std::fprintf(f, "  \"schema\": \"ipcp-bench-throughput-v3\",\n");
     std::fprintf(f, "  \"trace\": \"%s\",\n", kTrace);
     std::fprintf(f, "  \"sim_instrs\": %llu,\n",
                  static_cast<unsigned long long>(cfg.simInstrs));
@@ -186,10 +176,9 @@ writeJson(const std::string &path)
         std::fprintf(
             f,
             "    {\"name\": \"%s\", \"combo\": \"%s\", \"cores\": %u, "
-            "\"threads\": %u, "
             "\"skip\": %s, \"kips\": %.1f, \"seconds\": %.3f, "
             "\"instructions\": %llu, \"skip_ratio\": %.4f}%s\n",
-            name.c_str(), s.combo.c_str(), s.cores, s.threads,
+            name.c_str(), s.combo.c_str(), s.cores,
             s.skip ? "true" : "false", s.kipsValue(), s.seconds,
             static_cast<unsigned long long>(s.instructions),
             s.skipRatio(), ++i == samples().size() ? "" : ",");
@@ -220,7 +209,7 @@ main(int argc, char **argv)
                 benchmark::RegisterBenchmark(
                     name,
                     [combo, cores, skip](benchmark::State &st) {
-                        runSim(st, combo, cores, skip, 1);
+                        runSim(st, combo, cores, skip);
                     })
                     ->Unit(benchmark::kMillisecond)
                     ->MeasureProcessCPUTime()
@@ -228,27 +217,6 @@ main(int argc, char **argv)
             }
         }
     }
-    // Parallel cluster-phase ticking (DESIGN.md §5f) on the headline
-    // combo: the results are bit-identical to serial by contract, so
-    // these rows measure the thread pool itself.
-    for (unsigned cores : {4u, 8u}) {
-        for (unsigned threads : {2u, 4u}) {
-            if (threads > cores)
-                continue;
-            char name[64];
-            std::snprintf(name, sizeof(name), "sim/ipcp/%uc/skip/%ut",
-                          cores, threads);
-            benchmark::RegisterBenchmark(
-                name,
-                [cores, threads](benchmark::State &st) {
-                    runSim(st, "ipcp", cores, true, threads);
-                })
-                ->Unit(benchmark::kMillisecond)
-                ->MeasureProcessCPUTime()
-                ->UseRealTime();
-        }
-    }
-
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -329,10 +329,9 @@ class Cache : public ReqSink, public RespTarget, public Clocked,
      * Defer every call into the lower level to flushEgress() instead of
      * making it inside tick(). The System sets this on the private L2s
      * of a multi-core machine: their lower level is the *shared* LLC,
-     * so deferring is what lets per-core clusters tick on separate
-     * threads with no cross-cluster calls; replaying the deferred
-     * egress serially in core order afterwards keeps results
-     * bit-identical between serial and parallel cluster execution
+     * so deferring keeps per-core cluster ticks free of cross-cluster
+     * calls, and replaying the deferred egress serially in core order
+     * afterwards fixes when each core's requests reach the LLC
      * (DESIGN.md §5f).
      */
     void setDeferLower(bool on) { deferLower_ = on; }

@@ -7,8 +7,6 @@
 #include <stdexcept>
 
 #include "common/degrade.hh"
-#include "common/env.hh"
-#include "common/faultinject.hh"
 #include "common/stateio.hh"
 
 namespace bouquet
@@ -99,35 +97,6 @@ System::System(SystemConfig cfg, std::vector<GeneratorPtr> workloads)
         env != nullptr && env[0] != '\0' &&
         !(env[0] == '0' && env[1] == '\0'))
         skipProfile_ = true;
-
-    unsigned threads = config_.tickThreads;
-    if (threads == 0)
-        threads = envUnsigned("IPCP_TICK_THREADS", 0);
-    threads = std::min(threads, n);
-    if (threads >= 2)
-        tickPool_ = std::make_unique<TickPool>(
-            threads, n,
-            [this](unsigned c, Cycle cycle) { tickCluster(c, cycle); });
-
-    // Auto-cap (DESIGN.md §5f): with a pool armed, first measure the
-    // serial cluster-phase cost and only engage the pool when the
-    // per-tick work clears the barrier-overhead threshold.
-    bool autocap = config_.tickAutocap;
-    if (const char *env = std::getenv("IPCP_TICK_AUTOCAP");
-        env != nullptr && env[0] == '0' && env[1] == '\0')
-        autocap = false;
-    autocapThresholdNs_ =
-        envU64("IPCP_TICK_AUTOCAP_NS", autocapThresholdNs_);
-    autocapPending_ = tickPool_ != nullptr && autocap;
-}
-
-void
-System::tickCluster(unsigned c, Cycle cycle)
-{
-    l2s_[c]->tick(cycle);
-    l1ds_[c]->tick(cycle);
-    l1is_[c]->tick(cycle);
-    cores_[c]->tick(cycle);
 }
 
 void
@@ -135,43 +104,17 @@ System::tickAll(Cycle cycle)
 {
     ++perf_.ticksExecuted;
     // Shared levels first so their responses propagate upward within a
-    // cycle, then the per-core clusters. With deferred L2 egress the
-    // clusters are independent; the serial loop and the thread pool
-    // visit identical per-cluster state, so results are bit-identical
-    // for any thread count.
+    // cycle, then each core's private cluster (L2 → L1D → L1I → core).
+    // With deferred L2 egress no cluster calls into the LLC until the
+    // flush below (DESIGN.md §5f).
     dram_->tick(cycle);
     llc_->tick(cycle);
     const unsigned n = numCores();
-    // The event tracer's ring and an armed fault registry are shared
-    // mutable state the clusters may touch — force the serial path so
-    // those (rare, debug-only) configurations stay race-free.
-    if (tickPool_ && tracer_ == nullptr &&
-        !FaultRegistry::instance().active()) {
-        if (autocapPending_) {
-            // Calibration: tick serially while timing the cluster
-            // phase. The verdict is taken once and sticks for the
-            // rest of this System's life.
-            const auto t0 = std::chrono::steady_clock::now();
-            for (unsigned c = 0; c < n; ++c)
-                tickCluster(c, cycle);
-            calibNs_ += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-            if (++calibTicks_ >= kAutocapSampleTicks) {
-                autocapPending_ = false;
-                useTickPool_ = calibNs_ / kAutocapSampleTicks >=
-                               autocapThresholdNs_;
-            }
-        } else if (useTickPool_) {
-            tickPool_->tickClusters(cycle);
-        } else {
-            for (unsigned c = 0; c < n; ++c)
-                tickCluster(c, cycle);
-        }
-    } else {
-        for (unsigned c = 0; c < n; ++c)
-            tickCluster(c, cycle);
+    for (unsigned c = 0; c < n; ++c) {
+        l2s_[c]->tick(cycle);
+        l1ds_[c]->tick(cycle);
+        l1is_[c]->tick(cycle);
+        cores_[c]->tick(cycle);
     }
     if (deferEgress_) {
         // Serial, in core order: the deterministic point where parked

@@ -24,7 +24,6 @@
 #include "common/statsink.hh"
 #include "common/tracer.hh"
 #include "core/core.hh"
-#include "core/tickpool.hh"
 #include "mem/dram.hh"
 #include "mem/vmem.hh"
 #include "trace/trace.hh"
@@ -81,29 +80,6 @@ struct SystemConfig
      * run at checkpoint save/load boundaries.
      */
     bool auditEveryTick = false;
-
-    /**
-     * Worker threads for the per-core cluster phase of tickAll
-     * (DESIGN.md §5f). 0 reads the IPCP_TICK_THREADS environment
-     * variable; 0/1 there (or unset) means serial. Clamped to the core
-     * count. Simulated results are bit-identical for every value —
-     * this is a host-side execution knob, so it is deliberately left
-     * out of configHash().
-     */
-    unsigned tickThreads = 0;
-
-    /**
-     * Auto-cap the tick pool: when true (the default) the first
-     * pool-eligible ticks run serially while their cluster-phase cost
-     * is measured, and the pool is only engaged if the average
-     * per-tick work clears the barrier-overhead threshold
-     * (IPCP_TICK_AUTOCAP_NS, default 4000). Below it the spin
-     * barrier costs more than the parallelism recovers — the t2/t4
-     * regression in BENCH_throughput.json — so ticking stays serial.
-     * IPCP_TICK_AUTOCAP=0 disables the calibration (always pool).
-     * Host-side only: results are bit-identical either way.
-     */
-    bool tickAutocap = true;
 };
 
 /** Per-core outcome of a measured run. */
@@ -362,14 +338,6 @@ class System
 
     void tickAll(Cycle cycle);
 
-    /**
-     * Tick one core's private hierarchy (L2 → L1D → L1I → core) at
-     * `cycle`. Clusters are disjoint — with deferred L2 egress no call
-     * chain leaves the cluster — so tickCluster is safe to run for
-     * different cores on different threads (DESIGN.md §5f).
-     */
-    void tickCluster(unsigned c, Cycle cycle);
-
     void resetAllStats();
 
     /** Save to ckptPath_ when the periodic interval has elapsed. */
@@ -425,7 +393,6 @@ class System
     bool noSkip_ = false;
     bool auditTick_ = false;
     bool deferEgress_ = false;  //!< multi-core: L2→LLC egress end-of-cycle
-    std::unique_ptr<TickPool> tickPool_;  //!< non-null when threading on
 
     /**
      * Skip-bound attribution (IPCP_SKIP_PROFILE=1): how often each
@@ -454,14 +421,6 @@ class System
     std::function<void(System &)> warmupHook_;
     bool warmStart_ = false;
     Cycle warmStartCycle_ = 0;
-
-    // Tick-pool auto-cap calibration (host-side; never serialized).
-    bool autocapPending_ = false;  //!< still measuring serial cost
-    bool useTickPool_ = true;      //!< calibration verdict
-    unsigned calibTicks_ = 0;
-    std::uint64_t calibNs_ = 0;
-    std::uint64_t autocapThresholdNs_ = 4000;
-    static constexpr unsigned kAutocapSampleTicks = 1024;
 
     // Observability (never serialized: purely host-side observation).
     StatRegistry registry_;

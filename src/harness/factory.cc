@@ -323,7 +323,9 @@ formatKnob(const KnobRef &ref)
 /**
  * Structural sanity for a parsed parameter set. The hardware model
  * indexes the IP table, CSPT and RR filter with `addr & (N-1)`, so
- * those sizes must be powers of two; the throttling watermarks are
+ * those sizes must be powers of two; tag widths must fit their 16-bit
+ * fields (and hash with foldXor, which needs width >= 1); the IP table
+ * rebuilds only 3 region-id bits; the throttling watermarks are
  * accuracies in [0,1].
  */
 Status
@@ -345,6 +347,22 @@ validateIpcpParams(const IpcpComboParams &p, const std::string &combo)
     if (Status s = pow2("rrEntries", p.l1.rrEntries); !s.ok())
         return s;
     if (Status s = pow2("l2IpEntries", p.l2.ipEntries); !s.ok())
+        return s;
+    const auto width = [&](const char *name, unsigned v,
+                           unsigned max) -> Status {
+        if (v < 1 || v > max)
+            return fail(std::string(name) + "=" + std::to_string(v) +
+                        " must be within [1," + std::to_string(max) +
+                        "]");
+        return Status();
+    };
+    if (Status s = width("ipTagBits", p.l1.ipTagBits, 16); !s.ok())
+        return s;
+    if (Status s = width("rrTagBits", p.l1.rrTagBits, 16); !s.ok())
+        return s;
+    if (Status s = width("rstTagBits", p.l1.rstTagBits, 3); !s.ok())
+        return s;
+    if (Status s = width("l2IpTagBits", p.l2.ipTagBits, 16); !s.ok())
         return s;
     if (p.l1.rstEntries == 0)
         return fail("rstEntries must be at least 1");

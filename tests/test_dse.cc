@@ -146,11 +146,27 @@ TEST(IpcpCombo, MalformedAndOutOfRangeAreCorrupt)
         "ipcp:epochFills=0",                      // degenerate epoch
         "ipcp:throttling=2",                      // not a bool
         "ipcp:ipEntries=4294967296",              // past unsigned
+        "ipcp:ipTagBits=0",                       // zero-width tag
+        "ipcp:ipTagBits=17",                      // past 16-bit field
+        "ipcp:rrTagBits=0",
+        "ipcp:rrTagBits=17",
+        "ipcp:l2IpTagBits=0",
+        "ipcp:l2IpTagBits=17",
+        "ipcp:rstTagBits=0",
+        "ipcp:rstTagBits=4",                      // past 3 region bits
+        "ipcp:rstTagBits=32",                     // 1u << 32
     };
     for (const std::string &combo : bad) {
         Result<IpcpComboParams> p = parseIpcpCombo(combo);
         ASSERT_FALSE(p.ok()) << combo;
         EXPECT_EQ(p.error().code, Errc::corrupt) << combo;
+        // A width rejection names the offending knob.
+        if (combo.find("TagBits=") != std::string::npos) {
+            const std::string knob = combo.substr(5, combo.find('=') - 5);
+            EXPECT_NE(p.error().message.find(knob + "="),
+                      std::string::npos)
+                << p.error().message;
+        }
     }
 }
 

@@ -1,13 +1,15 @@
 /**
  * @file
- * Parallel-tick equivalence tests (DESIGN.md §5f): the per-core
- * cluster phase of System::tickAll may run on a thread pool
- * (SystemConfig::tickThreads / IPCP_TICK_THREADS), and every thread
- * count — including the serial loop — must produce bit-identical
- * simulated results. The matrix here crosses core count × thread
- * count × skip mode and compares the strongest observables we have:
- * the full serialized machine state (the checkpoint payload) and the
- * complete stats-JSON document.
+ * Multi-core tick equivalence tests (DESIGN.md §5f). With more than
+ * one core, System::tickAll parks every L2→LLC request and flushes
+ * them in core order at the end of the cycle (deferred egress), so
+ * per-core clusters never touch shared state mid-tick. These tests
+ * check that the event-skipping loop reproduces the tick-every-cycle
+ * loop on that path (and on the single-core direct path), and that
+ * the structure-of-arrays cache state round-trips through a
+ * checkpoint. The skip tests compare per-core instructions and
+ * cycles and the complete stats-JSON document; the round trip compares
+ * the full serialized machine state.
  */
 
 #include <gtest/gtest.h>
@@ -42,14 +44,10 @@ tracesFor(unsigned cores)
 }
 
 std::unique_ptr<System>
-buildSystem(unsigned cores, unsigned threads, bool tick_every_cycle)
+buildSystem(unsigned cores, bool tick_every_cycle)
 {
     SystemConfig cfg;
     cfg.tickEveryCycle = tick_every_cycle;
-    cfg.tickThreads = threads;
-    // These runs are far below the autocap crossover; disable it so
-    // the pool path is genuinely exercised, not silently serialized.
-    cfg.tickAutocap = false;
     cfg.dram.channels = cores > 1 ? 2 : 1;
 
     std::vector<GeneratorPtr> workloads;
@@ -61,31 +59,25 @@ buildSystem(unsigned cores, unsigned threads, bool tick_every_cycle)
     return sys;
 }
 
-/** Run a small workload and capture every simulated byte. */
+/** Run a small workload and capture its simulated observables. */
 struct Capture
 {
     RunResult run;
-    std::vector<std::uint8_t> state;  //!< full checkpoint payload
-    std::string statsJson;            //!< complete stats document
+    std::string statsJson;  //!< complete stats document
 };
 
 Capture
-simulate(unsigned cores, unsigned threads, bool tick_every_cycle)
+simulate(unsigned cores, bool tick_every_cycle)
 {
-    std::unique_ptr<System> sys =
-        buildSystem(cores, threads, tick_every_cycle);
+    std::unique_ptr<System> sys = buildSystem(cores, tick_every_cycle);
 
     Capture cap;
     cap.run = sys->run(2'000, 10'000);
 
-    StateIO io = StateIO::writer();
-    sys->serialize(io);
-    cap.state = io.takeBuffer();
-
     const std::string path =
         ::testing::TempDir() + "/par_eq_stats_" +
-        std::to_string(cores) + "_" + std::to_string(threads) + "_" +
-        (tick_every_cycle ? "ns" : "sk") + ".json";
+        std::to_string(cores) + "_" + (tick_every_cycle ? "ns" : "sk") +
+        ".json";
     const Status st = writeSystemStatsJson(*sys, path, "par-eq");
     EXPECT_TRUE(st.ok());
     std::ifstream in(path, std::ios::binary);
@@ -112,37 +104,19 @@ expectSameResults(const Capture &a, const Capture &b, const char *what)
         << what << ": stats JSON differs";
 }
 
-void
-expectIdentical(const Capture &a, const Capture &b, const char *what)
-{
-    expectSameResults(a, b, what);
-    // Same skip mode on both sides, so even the host-side loop
-    // bookkeeping inside the payload (perf counters, watchdog state)
-    // must match byte for byte.
-    EXPECT_TRUE(a.state == b.state)
-        << what << ": serialized machine state differs";
-}
-
 /**
- * The full matrix: for each core count and skip mode, every thread
- * count must reproduce the serial run byte for byte.
+ * Skip and no-skip agree at both ends of the core-count range: the
+ * single-core direct path and eight clusters sharing the LLC through
+ * deferred egress. Only simulated observables are compared (see
+ * SkipModesAgreeUnderDeferredEgress).
  */
 TEST(ParallelEquivalence, ThreadCountMatrixBitIdentical)
 {
-    for (const unsigned cores : {1u, 4u, 8u}) {
-        for (const bool noskip : {false, true}) {
-            const Capture serial = simulate(cores, 1, noskip);
-            for (const unsigned threads : {2u, 4u}) {
-                if (threads > cores)
-                    continue;  // pool clamps to the core count
-                const Capture par = simulate(cores, threads, noskip);
-                const std::string what =
-                    std::to_string(cores) + "c/" +
-                    std::to_string(threads) + "t/" +
-                    (noskip ? "noskip" : "skip");
-                expectIdentical(serial, par, what.c_str());
-            }
-        }
+    for (const unsigned cores : {1u, 8u}) {
+        const std::string what =
+            std::to_string(cores) + "c skip-vs-noskip";
+        expectSameResults(simulate(cores, false), simulate(cores, true),
+                          what.c_str());
     }
 }
 
@@ -154,10 +128,8 @@ TEST(ParallelEquivalence, ThreadCountMatrixBitIdentical)
  */
 TEST(ParallelEquivalence, SkipModesAgreeUnderDeferredEgress)
 {
-    expectSameResults(simulate(4, 1, false), simulate(4, 1, true),
+    expectSameResults(simulate(4, false), simulate(4, true),
                       "4c skip-vs-noskip");
-    expectSameResults(simulate(4, 4, false), simulate(4, 4, true),
-                      "4c/4t skip-vs-noskip");
 }
 
 /**
@@ -168,14 +140,14 @@ TEST(ParallelEquivalence, SkipModesAgreeUnderDeferredEgress)
  */
 TEST(ParallelEquivalence, SoaStateRoundTripsThroughCheckpoint)
 {
-    std::unique_ptr<System> a = buildSystem(4, 1, false);
+    std::unique_ptr<System> a = buildSystem(4, false);
     a->run(2'000, 4'000);
 
     StateIO w = StateIO::writer();
     a->serialize(w);
     const std::vector<std::uint8_t> saved = w.takeBuffer();
 
-    std::unique_ptr<System> b = buildSystem(4, 1, false);
+    std::unique_ptr<System> b = buildSystem(4, false);
     StateIO r = StateIO::reader(saved);
     b->serialize(r);
     r.expectEnd();

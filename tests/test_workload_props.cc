@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "trace/suite.hh"
@@ -16,6 +17,18 @@
 
 namespace bouquet
 {
+
+/**
+ * gtest names each parameterized case's ctest entry after its
+ * parameter. Without this, a TraceSpec prints as raw bytes that begin
+ * with a heap address, so the names would change from build to build.
+ */
+void
+PrintTo(const TraceSpec &spec, std::ostream *os)
+{
+    *os << ::testing::PrintToString(spec.name);
+}
+
 namespace
 {
 

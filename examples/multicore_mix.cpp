@@ -56,8 +56,8 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
 
-    const double ws_none = weightedSpeedup(base, "mix-none", none, cfg);
-    const double ws_ipcp = weightedSpeedup(with, "mix-ipcp", ipcp, cfg);
+    const double ws_none = weightedSpeedup(base, none, cfg);
+    const double ws_ipcp = weightedSpeedup(with, ipcp, cfg);
     std::cout << "\nWeighted speedup (vs per-trace alone runs): none="
               << TablePrinter::num(ws_none) << ", ipcp="
               << TablePrinter::num(ws_ipcp)

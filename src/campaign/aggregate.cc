@@ -1,17 +1,11 @@
 #include "campaign/aggregate.hh"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <functional>
-
-#include <unistd.h>
+#include <sstream>
 
 #include "campaign/queue.hh"
 #include "common/env.hh"
-#include "common/json.hh"
-#include "harness/outcomestore.hh"
+#include "common/stateio.hh"
 
 namespace bouquet::campaign
 {
@@ -20,31 +14,6 @@ namespace
 {
 
 constexpr std::uint64_t kReportSchemaVersion = 1;
-
-/** Write a JSON document atomically (tmp + rename). */
-Status
-publishJson(const std::string &path,
-            const std::function<void(JsonWriter &)> &body)
-{
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream os(tmp);
-        if (!os)
-            return makeError(Errc::io, "cannot create " + tmp, true);
-        JsonWriter json(os, JsonWriter::Style::Pretty);
-        body(json);
-        os << "\n";
-        os.flush();
-        if (!os)
-            return makeError(Errc::io, "short write to " + tmp, true);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return makeError(Errc::io, "cannot publish " + path, true);
-    }
-    return Status();
-}
 
 /** Parse `<field>=<u64>` out of a history line; 0 when absent or
  *  malformed. The value runs to the next whitespace, so extract the
@@ -83,12 +52,22 @@ stateName(JobState state)
 } // namespace
 
 Status
+publishJson(const std::string &path,
+            const std::function<void(JsonWriter &)> &body)
+{
+    std::ostringstream os;
+    JsonWriter json(os, JsonWriter::Style::Pretty);
+    body(json);
+    os << "\n";
+    return publishFile(path, os.str());
+}
+
+Status
 writeReport(const CampaignPaths &paths, const CampaignSpec &spec)
 {
     const ExperimentConfig cfg = campaignConfig(paths, spec);
     WorkQueue queue(QueueConfig::fromEnv(paths.queueDir()),
                     "aggregate");
-    OutcomeStore store(paths.storeFile());
 
     return publishJson(paths.reportFile(), [&](JsonWriter &json) {
         json.beginObject();
@@ -110,10 +89,12 @@ writeReport(const CampaignPaths &paths, const CampaignSpec &spec)
             json.value(job.combo);
             json.key("key_hash");
             json.value(hash);
-            Outcome out;
             // Only simulated fields below: resumed/attempt/host
             // counters would break chaos-vs-serial byte identity.
-            if (store.get(key, out)) {
+            // An unreadable done file reads as incomplete.
+            if (Result<Outcome> done = queue.readDone(hash, key);
+                done.ok()) {
+                const Outcome &out = done.value();
                 json.key("status");
                 json.value("done");
                 json.key("ipc");

@@ -1,7 +1,7 @@
 /**
  * @file
- * Campaign aggregation: folds the shared OutcomeStore and the queue's
- * terminal markers into two JSON artifacts.
+ * Campaign aggregation: folds the queue's done files (each carrying
+ * its job's Outcome) and terminal markers into two JSON artifacts.
  *
  *   report.json   deterministic: manifest order, simulated stats only
  *                 (IPC, instruction/cycle counts, demand misses, DRAM
@@ -16,10 +16,12 @@
 #define BOUQUET_CAMPAIGN_AGGREGATE_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "campaign/campaign.hh"
 #include "common/errors.hh"
+#include "common/json.hh"
 
 namespace bouquet::campaign
 {
@@ -52,6 +54,11 @@ struct CampaignTotals
                degradedStats;
     }
 };
+
+/** Write the JSON document `body` emits (pretty, with a trailing
+ *  newline) to `path` through publishFile. */
+Status publishJson(const std::string &path,
+                   const std::function<void(JsonWriter &)> &body);
 
 /** Write report.json (deterministic aggregate). */
 Status writeReport(const CampaignPaths &paths,

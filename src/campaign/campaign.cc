@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "common/env.hh"
 #include "common/stateio.hh"
@@ -74,28 +73,13 @@ writeManifest(const CampaignPaths &paths, const CampaignSpec &spec)
 {
     if (Status s = initCampaignDirs(paths); !s.ok())
         return s;
-    const std::string tmp = paths.manifestFile() + ".tmp." +
-                            std::to_string(::getpid());
-    {
-        std::ofstream os(tmp);
-        if (!os)
-            return makeError(Errc::io, "cannot create " + tmp, true);
-        os << kManifestHeader << "\n"
-           << "sim_instrs=" << spec.simInstrs << "\n"
-           << "warmup_instrs=" << spec.warmupInstrs << "\n";
-        for (const CampaignJob &job : spec.jobs)
-            os << "job " << job.trace << " " << job.combo << "\n";
-        os.flush();
-        if (!os)
-            return makeError(Errc::io, "short write to " + tmp, true);
-    }
-    if (std::rename(tmp.c_str(), paths.manifestFile().c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return makeError(Errc::io,
-                         "cannot publish " + paths.manifestFile(),
-                         true);
-    }
-    return Status();
+    std::ostringstream os;
+    os << kManifestHeader << "\n"
+       << "sim_instrs=" << spec.simInstrs << "\n"
+       << "warmup_instrs=" << spec.warmupInstrs << "\n";
+    for (const CampaignJob &job : spec.jobs)
+        os << "job " << job.trace << " " << job.combo << "\n";
+    return publishFile(paths.manifestFile(), os.str());
 }
 
 Result<CampaignSpec>

@@ -4,8 +4,8 @@
  * its state. A campaign is a directory —
  *
  *   <root>/manifest.txt   the job list (trace x combo) + run lengths
- *   <root>/outcomes.bin   shared OutcomeStore every worker writes
- *   <root>/queue/         lease / attempts / done / quarantine files
+ *   <root>/queue/         lease / attempts / done / quarantine files;
+ *                         a done file carries the job's Outcome
  *   <root>/stats/         per-job stats JSON (stats-<keyhash>.json)
  *   <root>/ckpts/         key-derived periodic checkpoints
  *   <root>/warm/          shared end-of-warmup states (§5h)
@@ -59,7 +59,6 @@ struct CampaignPaths
     std::string root;
 
     std::string manifestFile() const { return root + "/manifest.txt"; }
-    std::string storeFile() const { return root + "/outcomes.bin"; }
     std::string queueDir() const { return root + "/queue"; }
     std::string statsDir() const { return root + "/stats"; }
     std::string ckptDir() const { return root + "/ckpts"; }
@@ -81,7 +80,7 @@ CampaignSpec defaultSweep(std::size_t max_traces = 0,
 /** Create the campaign directory tree (idempotent). */
 Status initCampaignDirs(const CampaignPaths &paths);
 
-/** Persist the manifest (atomic rename; submit-once). */
+/** Persist the manifest (publishFile; submit-once). */
 Status writeManifest(const CampaignPaths &paths,
                      const CampaignSpec &spec);
 

@@ -13,6 +13,7 @@
 
 #include "common/env.hh"
 #include "common/faultinject.hh"
+#include "common/stateio.hh"
 
 namespace bouquet::campaign
 {
@@ -215,10 +216,19 @@ WorkQueue::tryClaim(const std::string &hash)
         "owner=" + owner_ + "\npid=" + std::to_string(::getpid()) +
         "\nnonce=" + claim.nonce + "\n";
 
-    if (createExclusive(lease, content)) {
-        claim.claimed = true;
-        return claim;
-    }
+    // A finishing owner renames its done file in before it unlinks
+    // its lease, so a lease created after that unlink still finds the
+    // job terminal here, and is given straight back.
+    const auto hold = [&](Claim won) {
+        if (isTerminal(hash)) {
+            ::unlink(lease.c_str());
+            return Claim{};
+        }
+        won.claimed = true;
+        return won;
+    };
+    if (createExclusive(lease, content))
+        return hold(claim);
 
     // The lease exists. Claimable only once its heartbeat expired.
     std::string prior_owner;
@@ -251,10 +261,9 @@ WorkQueue::tryClaim(const std::string &hash)
 
     if (!createExclusive(lease, content))
         return Claim{};  // a fresh claimant slipped in; it wins
-    claim.claimed = true;
     claim.reclaimed = true;
     claim.priorOwner = prior_owner;
-    return claim;
+    return hold(claim);
 }
 
 Status
@@ -341,7 +350,8 @@ WorkQueue::attemptCount(const std::string &hash) const
 
 Status
 WorkQueue::publishDone(const std::string &hash, const std::string &key,
-                       const std::string &nonce) const
+                       const std::string &nonce,
+                       const Outcome &outcome) const
 {
     std::string owner;
     std::string current;
@@ -350,23 +360,42 @@ WorkQueue::publishDone(const std::string &hash, const std::string &key,
         return makeError(Errc::lock_failed,
                          "lease " + hash +
                              " lost before publish (reclaimed)");
-    const std::string tmp = cfg_.dir + "/.tmp-done-" + hash + "." +
-                            std::to_string(::getpid());
-    if (!createExclusive(tmp,
-                         "key=" + key + "\nowner=" + owner_ + "\n")) {
-        ::unlink(tmp.c_str());
-        if (!createExclusive(tmp, "key=" + key + "\nowner=" + owner_ +
-                                      "\n"))
-            return makeError(Errc::io, "cannot stage " + tmp, true);
-    }
-    if (::rename(tmp.c_str(), donePath(hash).c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        return makeError(Errc::io,
-                         "cannot publish done marker for " + hash,
-                         true);
-    }
+    StateIO io = StateIO::writer();
+    std::string stored_key = key;
+    Outcome stored = outcome;
+    io.io(stored_key);
+    io.io(stored);
+    if (Status s = publishContainer(donePath(hash), fnv1a(key),
+                                    io.takeBuffer());
+        !s.ok())
+        return s;
+    // Done is in place before the lease goes (see tryClaim).
     ::unlink(leasePath(hash).c_str());
     return Status();
+}
+
+Result<Outcome>
+WorkQueue::readDone(const std::string &hash,
+                    const std::string &key) const
+{
+    Result<std::vector<std::uint8_t>> payload =
+        readContainer(donePath(hash), fnv1a(key));
+    if (!payload.ok())
+        return payload.error();
+    try {
+        StateIO io = StateIO::reader(payload.take());
+        std::string stored_key;
+        Outcome outcome;
+        io.io(stored_key);
+        io.io(outcome);
+        io.expectEnd();
+        if (stored_key != key)
+            return makeError(Errc::corrupt,
+                             donePath(hash) + " holds another key");
+        return outcome;
+    } catch (const ErrorException &e) {
+        return e.error();
+    }
 }
 
 void
@@ -426,12 +455,18 @@ WorkQueue::scan(const std::vector<std::string> &hashes) const
     //    is pure litter once its lease would have expired);
     //  - pulse-* progress beacons whose worker stopped beating (the
     //    worker died; the supervisor reads pulses by pid, so an old
-    //    beacon is never consulted again).
+    //    beacon is never consulted again);
+    //  - hidden publish temps (`.done-<hash>.tmp.<pid>` from
+    //    publishFile, `.tmp-done-*` from older workers) left by a
+    //    worker killed mid-publish; a live publish renames its temp
+    //    away long before 2×TTL.
     if (DIR *dir = ::opendir(cfg_.dir.c_str()); dir != nullptr) {
         while (const dirent *entry = ::readdir(dir)) {
             const std::string name = entry->d_name;
+            const bool publish_temp =
+                name[0] == '.' && name.find(".tmp") != std::string::npos;
             if (name.rfind("rip-", 0) != 0 &&
-                name.rfind("pulse-", 0) != 0)
+                name.rfind("pulse-", 0) != 0 && !publish_temp)
                 continue;
             const std::string path = cfg_.dir + "/" + name;
             if (fileAge(path) > 2.0 * cfg_.leaseTtl)

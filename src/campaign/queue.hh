@@ -9,7 +9,8 @@
  *                       and a per-claim nonce; mtime is the heartbeat
  *   attempts-<hash>     append-only history: one line per started
  *                       attempt, failure, reclaim and resume
- *   done-<hash>         terminal success marker (tmp + atomic rename)
+ *   done-<hash>         terminal success: the job's key and Outcome
+ *                       in a CRC container (publishFile)
  *   quarantine-<hash>   terminal failure: the attempts log renamed,
  *                       with the quarantine reason appended
  *
@@ -26,13 +27,17 @@
  *      │                  ▼
  *      └──reclaim──── orphaned ──attempt budget──▶ quarantined
  *
- * Claim is atomic via O_EXCL. Reclaim of an expired lease renames it
- * to a reclaimer-unique corpse — exactly one racer's rename succeeds
- * — then verifies the corpse still carries the nonce it read before
- * renaming (a lease recreated in the race window is restored, not
- * stolen) and re-creates the lease O_EXCL. Heartbeat and publishDone
- * verify the caller's nonce first, so a worker whose lease was
- * reclaimed while it was stalled can neither renew nor publish.
+ * Claim is atomic via O_EXCL, and re-checks for a done file after
+ * creating the lease: a finishing owner publishes done before it
+ * drops its lease, so a claim that wins the lease of a just-finished
+ * job sees its done file and backs off. Reclaim of an expired lease
+ * renames it to a reclaimer-unique corpse — exactly one racer's
+ * rename succeeds — then verifies the corpse still carries the nonce
+ * it read before renaming (a lease recreated in the race window is
+ * restored, not stolen) and re-creates the lease O_EXCL. Heartbeat
+ * and publishDone verify the caller's nonce first, so a worker whose
+ * lease was reclaimed while it was stalled can neither renew nor
+ * publish.
  * Quarantine renames the attempts log, preserving the full error
  * history atomically. Declares the `queue.claim`, `queue.heartbeat`
  * and `queue.reclaim` fault-injection points.
@@ -46,6 +51,7 @@
 #include <vector>
 
 #include "common/errors.hh"
+#include "harness/experiment.hh"
 
 namespace bouquet::campaign
 {
@@ -119,9 +125,11 @@ class WorkQueue
 
     /**
      * Try to take the lease. Returns claimed=false when the job is
-     * terminal, freshly leased by a live owner, or lost to a racing
-     * claimant; quarantines (and reports claimed=false) when the
-     * attempt budget is already exhausted. An injected `queue.claim`
+     * terminal (checked again after the lease is created, so a job
+     * finished in the window is never claimed), freshly leased by a
+     * live owner, or lost to a racing claimant; quarantines (and
+     * reports claimed=false) when the attempt budget is already
+     * exhausted. An injected `queue.claim`
      * or `queue.reclaim` fault surfaces as an error Result.
      */
     Result<Claim> tryClaim(const std::string &hash);
@@ -173,12 +181,23 @@ class WorkQueue
     unsigned attemptCount(const std::string &hash) const;
 
     /**
-     * Publish the success marker (tmp + atomic rename) and drop the
-     * lease. Fails without publishing when the lease nonce no longer
-     * matches — the job was reclaimed from us.
+     * Publish the done file — `key` and `outcome` inside a CRC
+     * container hashed by fnv1a(key), written through publishFile —
+     * then drop the lease. Fails without publishing when the lease
+     * nonce no longer matches (the job was reclaimed from us), or
+     * with the write error when the file cannot land; either way the
+     * job is not done. Done therefore implies the outcome is durable.
      */
     Status publishDone(const std::string &hash, const std::string &key,
-                       const std::string &nonce) const;
+                       const std::string &nonce,
+                       const Outcome &outcome = Outcome{}) const;
+
+    /**
+     * The outcome a done file carries. Fails (never throws) when the
+     * file is missing, truncated, corrupt, or holds another key.
+     */
+    Result<Outcome> readDone(const std::string &hash,
+                             const std::string &key) const;
 
     /**
      * Park the job: append the reason to its history and atomically
@@ -193,7 +212,8 @@ class WorkQueue
 
     /**
      * Count every job's state; also reaps litter (a lease left beside
-     * a done marker by a crash, reclaim corpses past their window).
+     * a done marker by a crash; reclaim corpses, stale pulses and
+     * publish temp files past 2×TTL).
      */
     QueueCounts scan(const std::vector<std::string> &hashes) const;
 

@@ -16,7 +16,6 @@
 #include "common/stateio.hh"
 #include "common/statsink.hh"
 #include "harness/diskbudget.hh"
-#include "harness/outcomestore.hh"
 #include "harness/runner.hh"
 #include "harness/warmstore.hh"
 #include "trace/tracepool.hh"
@@ -93,23 +92,12 @@ struct WorkItem
     std::string hash;
 };
 
-/** Execute (or short-circuit) one claimed job. */
+/** Execute one claimed job and publish its done file. */
 void
-processItem(WorkQueue &queue, OutcomeStore &store, Runner &runner,
+processItem(WorkQueue &queue, Runner &runner,
             const ExperimentConfig &cfg, const WorkItem &item,
             const Claim &claim)
 {
-    // Result already durable (a prior owner's publish was lost)?
-    // Publish without burning an attempt.
-    Outcome cached;
-    if (store.get(item.key, cached)) {
-        if (Status s =
-                queue.publishDone(item.hash, item.key, claim.nonce);
-            !s.ok())
-            queue.release(item.hash, claim.nonce);
-        return;
-    }
-
     Result<Job> job = materialize(item.job, cfg);
     if (!job.ok()) {
         // A job that cannot even be constructed never gets better:
@@ -147,15 +135,7 @@ processItem(WorkQueue &queue, OutcomeStore &store, Runner &runner,
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(50));
         }
-        const auto fetch = [&store](const Job &j, Outcome &out) {
-            return store.get(jobKey(j), out);
-        };
-        const auto persist = [&store](const Job &j,
-                                      const Outcome &out) {
-            if (Status s = store.put(jobKey(j), out); !s.ok())
-                throw ErrorException(s.error());
-        };
-        outs = runner.run({job.take()}, fetch, persist);
+        outs = runner.run({job.take()});
     }
 
     std::uint64_t degraded_delta[kDegradeKinds];
@@ -185,40 +165,22 @@ processItem(WorkQueue &queue, OutcomeStore &store, Runner &runner,
     if (out.ok) {
         if (out.resumed)
             queue.recordResume(item.hash, out.ckptCycle);
-        if (out.attempts > 0) {
-            // Executed (not served from the outcome cache): note how
-            // the shared caches treated it, for summary.json totals.
-            const std::string pool_note =
-                pool.hits() > pool_hits     ? "hit"
-                : pool.misses() > pool_misses ? "miss"
-                                              : "off";
-            queue.recordCache(item.hash, out.outcome.warmStart,
-                              pool_note);
-        }
-        // done implies the outcome is durable ON DISK: re-check
-        // against the file (an in-memory hit would mask a failed
-        // persist), retrying the put once before giving the lease
-        // back for another owner to retry later.
-        if (!store.durable(item.key)) {
-            if (Status s = store.put(item.key, out.outcome);
-                !s.ok() || !store.durable(item.key)) {
-                queue.recordFailure(
-                    item.hash,
-                    "outcome persist failed: " +
-                        (s.ok() ? std::string("not durable after put")
-                                : s.error().message));
-                queue.release(item.hash, claim.nonce);
-                return;
-            }
-        }
-        if (Status s =
-                queue.publishDone(item.hash, item.key, claim.nonce);
+        // Note how the shared caches treated the run, for
+        // summary.json totals.
+        const std::string pool_note =
+            pool.hits() > pool_hits       ? "hit"
+            : pool.misses() > pool_misses ? "miss"
+                                          : "off";
+        queue.recordCache(item.hash, out.outcome.warmStart, pool_note);
+        // The done file is the outcome: once it lands the result is
+        // durable. If it cannot land (or the job was reclaimed from
+        // us mid-run), give the lease back for a later attempt.
+        if (Status s = queue.publishDone(item.hash, item.key,
+                                         claim.nonce, out.outcome);
             !s.ok()) {
-            // Reclaimed from us mid-run; the new owner will publish
-            // from the store. Nothing to release: the lease is theirs.
-            std::cerr << "[worker " << queue.owner() << "] "
-                      << item.hash << ": " << s.error().message
-                      << "\n";
+            queue.recordFailure(item.hash, "outcome publish failed: " +
+                                               s.error().message);
+            queue.release(item.hash, claim.nonce);
         }
         return;
     }
@@ -261,7 +223,6 @@ runWorker(const std::string &root)
     const ExperimentConfig cfg = campaignConfig(paths, spec);
     const std::string owner = "w" + std::to_string(::getpid());
     WorkQueue queue(QueueConfig::fromEnv(paths.queueDir()), owner);
-    OutcomeStore store(paths.storeFile());
     Runner runner(1);
 
     std::vector<WorkItem> items;
@@ -299,7 +260,7 @@ runWorker(const std::string &root)
             if (!claim.value().claimed)
                 continue;
             claimed_any = true;
-            processItem(queue, store, runner, cfg, item, claim.value());
+            processItem(queue, runner, cfg, item, claim.value());
         }
         if (!claimed_any && !shutdownRequested()) {
             // Everything left is leased to live owners (or racing):

@@ -3,10 +3,9 @@
  * The stateless campaign worker: `ipcp_sim --worker <dir>` calls
  * runWorker(), which loops claiming jobs from the campaign's work
  * queue, simulating them through the harness Runner (periodic
- * checkpoints on, retries and watchdog per the usual IPCP_* knobs),
- * persisting outcomes to the shared OutcomeStore and publishing done
- * markers — until every job is terminal or a SIGINT/SIGTERM drain is
- * requested. A reclaimed job auto-resumes the dead owner's key-derived
+ * checkpoints on, retries and watchdog per the usual IPCP_* knobs)
+ * and publishing each outcome as the job's done file — until every
+ * job is terminal or a SIGINT/SIGTERM drain is requested. A reclaimed job auto-resumes the dead owner's key-derived
  * checkpoint through the ordinary prepare-system path.
  */
 

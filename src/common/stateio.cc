@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include "common/degrade.hh"
@@ -31,17 +32,17 @@ buildId()
 }
 
 void
-putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
+putU32(std::string &out, std::uint32_t v)
 {
     for (unsigned i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
 void
-putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
+putU64(std::string &out, std::uint64_t v)
 {
     for (unsigned i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+        out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
 std::uint32_t
@@ -90,69 +91,88 @@ crc32(const std::uint8_t *data, std::size_t size)
 }
 
 Status
-writeCheckpointFile(const std::string &path, std::uint64_t config_hash,
-                    const std::vector<std::uint8_t> &payload)
+publishFile(const std::string &path, std::string_view bytes)
 {
-    if (auto err = faultCheck(faults::kCkptWrite, path))
-        return *err;
-    if (faultCheck(faults::kCkptNospace, path))
-        return makeError(Errc::no_space,
-                         "injected ENOSPC writing " + path, true);
+    // A hidden, pid-unique temp name beside the target: two processes
+    // publishing one path (a reclaimed lease) never share a temp
+    // file, and no `prefix-*` glob of the directory matches it.
+    const std::size_t base = path.find_last_of('/') + 1;  // 0 if none
+    const std::string dir = base == 0 ? "." : path.substr(0, base);
+    const std::string tmp = path.substr(0, base) + "." +
+                            path.substr(base) + ".tmp." +
+                            std::to_string(::getpid());
 
-    // Only the fixed header and the short build id are assembled in
-    // memory; the (multi-megabyte) payload is streamed straight from
-    // the caller's buffer instead of being copied into a full image.
-    const std::string build = buildId();
-    std::vector<std::uint8_t> header;
-    header.reserve(kHeaderBytes + build.size());
-    header.insert(header.end(), kMagic, kMagic + sizeof(kMagic));
-    putU32(header, kCheckpointVersion);
-    putU32(header, static_cast<std::uint32_t>(build.size()));
-    putU64(header, config_hash);
-    putU64(header, payload.size());
-    putU32(header, crc32(payload.data(), payload.size()));
-    header.insert(header.end(), build.begin(), build.end());
-
-    // A pid-unique temp name: two processes writing the same path
-    // (a reclaimed lease) must not interleave their bytes in one file.
-    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr)
+    const int fd =
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+               0644);
+    if (fd < 0)
         return classifyWriteErrno(errno,
                                   "cannot open " + tmp + " for writing");
-    bool ok = std::fwrite(header.data(), 1, header.size(), f) ==
-              header.size();
-    ok = std::fwrite(payload.data(), 1, payload.size(), f) ==
-             payload.size() &&
-         ok;
-    ok = std::fflush(f) == 0 && ok;
-    if (ok)
-        ok = ::fsync(::fileno(f)) == 0;
-    ok = std::fclose(f) == 0 && ok;
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + off, bytes.size() - off);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        off += static_cast<std::size_t>(n);
+    }
+    bool ok = off == bytes.size() && ::fsync(fd) == 0;
+    int saved = errno;
+    if (::close(fd) != 0 && ok) {
+        ok = false;
+        saved = errno;
+    }
     if (!ok) {
-        const int saved = errno;
-        std::remove(tmp.c_str());
+        ::unlink(tmp.c_str());
         return classifyWriteErrno(saved, "short write to " + tmp);
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        const int saved = errno;
-        std::remove(tmp.c_str());
+    if (::rename(tmp.c_str(), path.c_str()) != 0) {
+        saved = errno;
+        ::unlink(tmp.c_str());
         return classifyWriteErrno(saved,
                                   "cannot rename " + tmp + " to " +
                                       path);
     }
+    // The rename is durable only once the directory entry is.
+    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY |
+                                            O_CLOEXEC);
+    if (dfd < 0 || ::fsync(dfd) != 0) {
+        saved = errno;
+        if (dfd >= 0)
+            ::close(dfd);
+        return classifyWriteErrno(saved, "cannot sync directory " + dir);
+    }
+    ::close(dfd);
     return Status();
 }
 
-Result<std::vector<std::uint8_t>>
-readCheckpointFile(const std::string &path, std::uint64_t config_hash)
+Status
+publishContainer(const std::string &path, std::uint64_t hash,
+                 const std::vector<std::uint8_t> &payload)
 {
-    if (auto err = faultCheck(faults::kCkptRead, path))
-        return *err;
+    const std::string build = buildId();
+    std::string image;
+    image.reserve(kHeaderBytes + build.size() + payload.size());
+    image.append(kMagic, sizeof(kMagic));
+    putU32(image, kCheckpointVersion);
+    putU32(image, static_cast<std::uint32_t>(build.size()));
+    putU64(image, hash);
+    putU64(image, payload.size());
+    putU32(image, crc32(payload.data(), payload.size()));
+    image += build;
+    image.append(reinterpret_cast<const char *>(payload.data()),
+                 payload.size());
+    return publishFile(path, image);
+}
 
+Result<std::vector<std::uint8_t>>
+readContainer(const std::string &path, std::uint64_t hash)
+{
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr)
-        return makeError(Errc::io, "cannot open checkpoint " + path);
+        return makeError(Errc::io, "cannot open " + path);
 
     std::vector<std::uint8_t> image;
     std::uint8_t chunk[1 << 16];
@@ -162,16 +182,15 @@ readCheckpointFile(const std::string &path, std::uint64_t config_hash)
     const bool read_err = std::ferror(f) != 0;
     std::fclose(f);
     if (read_err)
-        return makeError(Errc::io, "read error on checkpoint " + path,
-                         true);
+        return makeError(Errc::io, "read error on " + path, true);
 
     if (image.size() < sizeof(kMagic) ||
         std::memcmp(image.data(), kMagic, sizeof(kMagic)) != 0)
         return makeError(Errc::bad_magic,
-                         path + " is not a checkpoint file");
+                         path + " is not a checkpoint container");
     if (image.size() < kHeaderBytes)
         return makeError(Errc::truncated,
-                         "checkpoint " + path + " has a short header");
+                         path + " has a short header");
 
     const std::uint32_t version = getU32(image.data() + 8);
     const std::uint32_t build_len = getU32(image.data() + 12);
@@ -181,7 +200,7 @@ readCheckpointFile(const std::string &path, std::uint64_t config_hash)
 
     if (version != kCheckpointVersion)
         return makeError(Errc::bad_version,
-                         "checkpoint " + path + " is format version " +
+                         path + " is format version " +
                              std::to_string(version) + ", expected " +
                              std::to_string(kCheckpointVersion));
 
@@ -189,26 +208,45 @@ readCheckpointFile(const std::string &path, std::uint64_t config_hash)
         kHeaderBytes + std::uint64_t{build_len} + payload_size;
     if (image.size() < expect)
         return makeError(Errc::truncated,
-                         "checkpoint " + path + " is truncated: " +
+                         path + " is truncated: " +
                              std::to_string(image.size()) + " of " +
                              std::to_string(expect) + " bytes");
     if (image.size() > expect)
         return makeError(Errc::oversized,
-                         "checkpoint " + path + " has trailing bytes");
+                         path + " has trailing bytes");
 
-    if (file_hash != config_hash)
+    if (file_hash != hash)
         return makeError(Errc::corrupt,
-                         "checkpoint " + path +
-                             " was written for a different system "
-                             "configuration");
+                         path + " was written for a different "
+                                "configuration or key");
 
     const std::uint8_t *payload =
         image.data() + kHeaderBytes + build_len;
     if (crc32(payload, payload_size) != payload_crc)
         return makeError(Errc::corrupt,
-                         "checkpoint " + path + " failed CRC validation");
+                         path + " failed CRC validation");
 
     return std::vector<std::uint8_t>(payload, payload + payload_size);
+}
+
+Status
+writeCheckpointFile(const std::string &path, std::uint64_t config_hash,
+                    const std::vector<std::uint8_t> &payload)
+{
+    if (auto err = faultCheck(faults::kCkptWrite, path))
+        return *err;
+    if (faultCheck(faults::kCkptNospace, path))
+        return makeError(Errc::no_space,
+                         "injected ENOSPC writing " + path, true);
+    return publishContainer(path, config_hash, payload);
+}
+
+Result<std::vector<std::uint8_t>>
+readCheckpointFile(const std::string &path, std::uint64_t config_hash)
+{
+    if (auto err = faultCheck(faults::kCkptRead, path))
+        return *err;
+    return readContainer(path, config_hash);
 }
 
 } // namespace bouquet

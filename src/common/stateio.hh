@@ -622,21 +622,42 @@ class StateIO
 };
 
 /**
- * Write `payload` to `path` inside the checkpoint container:
- * magic + version + build id + config hash + size + CRC, written to
- * a pid-unique temp file (`path.tmp.<pid>`) and atomically renamed
- * into place, so neither a crash mid-write nor a second process
- * writing the same path leaves a half-valid checkpoint. Fault point:
- * `ckpt.write`.
+ * Atomically replace `path` with `bytes`, durably: write a hidden
+ * pid-unique temp file beside it (`.<name>.tmp.<pid>`), fsync it,
+ * rename it over `path`, then fsync the directory. Readers see the
+ * old file or the new one, never a mix, and an OK return survives a
+ * crash. On failure the temp file is removed; errors go through
+ * classifyWriteErrno (ENOSPC/EDQUOT → Errc::no_space). Every atomic
+ * file publish in the program goes through here.
+ */
+Status publishFile(const std::string &path, std::string_view bytes);
+
+/**
+ * Publish `payload` inside the checkpoint container — magic, format
+ * version, build id, `hash`, size and CRC — through publishFile.
+ * No fault points: callers that want them (checkpoints) add their own.
+ */
+Status publishContainer(const std::string &path, std::uint64_t hash,
+                        const std::vector<std::uint8_t> &payload);
+
+/**
+ * Read and validate a container: magic, version, payload size, CRC,
+ * and the stored hash against `hash`. Returns the payload.
+ */
+Result<std::vector<std::uint8_t>>
+readContainer(const std::string &path, std::uint64_t hash);
+
+/**
+ * publishContainer() for a machine checkpoint, keyed by the system's
+ * config hash. Fault points: `ckpt.write`, `ckpt.nospace`.
  */
 Status writeCheckpointFile(const std::string &path,
                            std::uint64_t config_hash,
                            const std::vector<std::uint8_t> &payload);
 
 /**
- * Read and validate a checkpoint container: magic, version, payload
- * size, CRC, and the config hash against `config_hash`. Returns the
- * payload on success. Fault point: `ckpt.read`.
+ * readContainer() for a machine checkpoint: the config hash must
+ * match `config_hash`. Fault point: `ckpt.read`.
  */
 Result<std::vector<std::uint8_t>>
 readCheckpointFile(const std::string &path, std::uint64_t config_hash);

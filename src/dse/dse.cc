@@ -6,18 +6,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <sstream>
 
 #include <sys/stat.h>
 
 #include "campaign/campaign.hh"
+#include "campaign/queue.hh"
 #include "campaign/supervisor.hh"
 #include "campaign/worker.hh"
 #include "common/env.hh"
-#include "common/json.hh"
+#include "common/stateio.hh"
 #include "harness/factory.hh"
-#include "harness/outcomestore.hh"
 #include "ipcp/ipcp_l1.hh"
 #include "ipcp/ipcp_l2.hh"
 
@@ -119,8 +118,8 @@ runRungCampaign(const std::string &root, const DseOptions &opts)
 }
 
 /**
- * Score one rung: look every (combo, trace) outcome up in the rung's
- * OutcomeStore and fold per-trace speedups over the "none" baseline
+ * Score one rung: read every (combo, trace) outcome from the rung's
+ * done files and fold per-trace speedups over the "none" baseline
  * into a geomean per combo.
  */
 Status
@@ -129,20 +128,23 @@ scoreRung(const campaign::CampaignPaths &paths,
           const std::vector<std::string> &combos, DseRung &rung)
 {
     const ExperimentConfig cfg = campaign::campaignConfig(paths, spec);
-    OutcomeStore store(paths.storeFile());
+    const campaign::WorkQueue queue(
+        campaign::QueueConfig::fromEnv(paths.queueDir()), "dse");
 
     const auto ipcOf = [&](const std::string &combo,
                            const std::string &trace,
                            double &out) -> Status {
         const std::string key = campaign::keyOf(
             campaign::CampaignJob{trace, combo}, cfg);
-        Outcome outcome;
-        if (!store.get(key, outcome))
+        Result<Outcome> done =
+            queue.readDone(campaign::keyHash(key), key);
+        if (!done.ok())
             return makeError(Errc::failed,
                              "no outcome for " + trace + " under " +
-                                 combo + " in " + paths.root,
+                                 combo + " in " + paths.root + ": " +
+                                 done.error().message,
                              true);
-        out = outcome.ipc;
+        out = done.value().ipc;
         return Status();
     };
 
@@ -188,29 +190,6 @@ scoreRung(const campaign::CampaignPaths &paths,
     return Status();
 }
 
-/** Write a JSON document atomically (tmp + rename). */
-Status
-publishJson(const std::string &path,
-            const std::function<void(JsonWriter &)> &body)
-{
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp);
-        if (!os)
-            return makeError(Errc::io, "cannot write " + tmp, true);
-        JsonWriter w(os, JsonWriter::Style::Pretty);
-        body(w);
-        os << "\n";
-        if (!os.flush())
-            return makeError(Errc::io, "cannot flush " + tmp, true);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return makeError(Errc::io, "cannot publish " + path, true);
-    }
-    return Status();
-}
-
 void
 writeCandidate(JsonWriter &w, const DseCandidate &cand)
 {
@@ -243,7 +222,7 @@ Status
 writeSearchReport(const std::string &path, const DseOptions &opts,
                   const DseReport &report)
 {
-    return publishJson(path, [&](JsonWriter &w) {
+    return campaign::publishJson(path, [&](JsonWriter &w) {
         w.beginObject();
         w.key("schema");
         w.value(std::uint64_t{1});
@@ -334,7 +313,7 @@ writeSearchReport(const std::string &path, const DseOptions &opts,
 Status
 writeSearchSummary(const std::string &path, const DseReport &report)
 {
-    return publishJson(path, [&](JsonWriter &w) {
+    return campaign::publishJson(path, [&](JsonWriter &w) {
         w.beginObject();
         w.key("schema");
         w.value(std::uint64_t{1});
@@ -564,20 +543,7 @@ writeGate(const std::string &path, const DseReport &report,
            << " speedup="
            << formatRoundTripDouble(pinned->speedup[t].second) << "\n";
 
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream f(tmp);
-        if (!f)
-            return makeError(Errc::io, "cannot write " + tmp, true);
-        f << os.str();
-        if (!f.flush())
-            return makeError(Errc::io, "cannot flush " + tmp, true);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return makeError(Errc::io, "cannot publish " + path, true);
-    }
-    return Status();
+    return publishFile(path, os.str());
 }
 
 Status

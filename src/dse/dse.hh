@@ -17,7 +17,7 @@
  *   <root>/summary.json   provenance (attempts, warm hits, ...)
  *
  * — so a killed search resumes where it stopped (manifests are
- * submit-once; finished jobs are served from the OutcomeStore), and
+ * submit-once; a finished job's done file carries its outcome), and
  * rung N+1 fast-forwards through warmup using the states rung N
  * published: warmupKey() excludes the measurement length by design,
  * which is exactly what makes halving cheap.

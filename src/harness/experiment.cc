@@ -344,40 +344,13 @@ runMix(const std::vector<TraceSpec> &specs, const AttachFn &attach,
 }
 
 double
-RunCache::ipc(const TraceSpec &spec, const std::string &label,
-              const AttachFn &attach, const ExperimentConfig &cfg)
-{
-    const std::string key = spec.name + "|" + label + "|" +
-                            std::to_string(cfg.simInstrs);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(key);
-        if (it != cache_.end())
-            return it->second;
-    }
-    // Simulate outside the lock: a concurrent miss on the same key
-    // costs a redundant (identical) simulation, never a blocked pool.
-    const Outcome out = runSingleCore(spec, attach, cfg);
-    std::lock_guard<std::mutex> lock(mutex_);
-    cache_.emplace(key, out.ipc);
-    return out.ipc;
-}
-
-RunCache &
-globalRunCache()
-{
-    static RunCache cache;
-    return cache;
-}
-
-double
-weightedSpeedup(const MixOutcome &mix, const std::string &label,
-                const AttachFn &attach, const ExperimentConfig &cfg)
+weightedSpeedup(const MixOutcome &mix, const AttachFn &attach,
+                const ExperimentConfig &cfg)
 {
     double ws = 0.0;
     for (std::size_t c = 0; c < mix.ipc.size(); ++c) {
-        const double alone = globalRunCache().ipc(
-            findTrace(mix.traces[c]), label, attach, cfg);
+        const double alone =
+            runSingleCore(findTrace(mix.traces[c]), attach, cfg).ipc;
         if (alone > 0.0)
             ws += mix.ipc[c] / alone;
     }

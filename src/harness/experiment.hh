@@ -3,8 +3,7 @@
  * The experiment runner: builds a system for a workload (or mix),
  * applies a prefetching configuration, simulates warmup + measurement,
  * and returns the metrics the paper's figures are built from (IPC,
- * per-level cache stats, DRAM traffic). Also memoizes baseline and
- * IPC-alone runs so benches don't repeat work.
+ * per-level cache stats, DRAM traffic).
  *
  * Run length is controlled by environment variables so the shipped
  * defaults stay laptop-scale while a paper-scale run is one knob away:
@@ -18,8 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -147,6 +144,27 @@ struct Outcome
      */
     bool warmStart = false;
 
+    /** Every field, in a fixed order (campaign done files). */
+    template <typename IO>
+    void
+    serialize(IO &io)
+    {
+        io.io(ipc);
+        io.io(instructions);
+        io.io(cycles);
+        io.io(l1i);
+        io.io(l1d);
+        io.io(l2);
+        io.io(llc);
+        io.io(dram);
+        io.io(dramBytes);
+        io.io(ticksExecuted);
+        io.io(skippedCycles);
+        io.io(resumed);
+        io.io(ckptCycle);
+        io.io(warmStart);
+    }
+
     /** Demand MPKI at a level. */
     double mpkiL1() const;
     double mpkiL2() const;
@@ -190,35 +208,10 @@ MixOutcome runMix(const std::vector<TraceSpec> &specs,
                   const std::string &ckpt_key = {});
 
 /**
- * Memoizing runner keyed by (trace, label): used for baseline IPCs
- * and IPC-alone values so each is simulated once per process.
- *
- * Safe to call from concurrent runner workers: the map is guarded by
- * a mutex that is never held across a simulation, so two threads
- * racing on the same cold key may both simulate it (deterministically
- * producing the same value) but never corrupt the cache.
+ * Weighted speedup of a mix result against per-trace alone-IPCs,
+ * each simulated under the same attach configuration and `cfg`.
  */
-class RunCache
-{
-  public:
-    /** IPC of `spec` alone on a single-core system under `attach`. */
-    double ipc(const TraceSpec &spec, const std::string &label,
-               const AttachFn &attach, const ExperimentConfig &cfg);
-
-  private:
-    std::mutex mutex_;
-    std::map<std::string, double> cache_;
-};
-
-/** Process-wide run cache (benches share baselines). */
-RunCache &globalRunCache();
-
-/**
- * Weighted speedup of a mix result against per-trace alone-IPCs
- * obtained under the same attach configuration.
- */
-double weightedSpeedup(const MixOutcome &mix, const std::string &label,
-                       const AttachFn &attach,
+double weightedSpeedup(const MixOutcome &mix, const AttachFn &attach,
                        const ExperimentConfig &cfg);
 
 /**

@@ -1,6 +1,5 @@
 #include "harness/outcomestore.hh"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -12,6 +11,7 @@
 
 #include "common/degrade.hh"
 #include "common/faultinject.hh"
+#include "common/stateio.hh"
 #include "harness/diskbudget.hh"
 
 namespace bouquet
@@ -236,46 +236,27 @@ OutcomeStore::mergeAndPersistLocked()
         return makeError(Errc::no_space,
                          "injected ENOSPC writing " + path_, true);
 
-    const std::string tmp =
-        path_ + ".tmp." + std::to_string(::getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr)
-        return classifyWriteErrno(errno, "cannot create " + tmp);
-
+    const auto append = [](std::string &out, const void *p,
+                           std::size_t n) {
+        out.append(static_cast<const char *>(p), n);
+    };
     const std::uint32_t version = kFormatVersion;
     const std::uint32_t record_bytes = sizeof(Outcome);
-    bool wrote = std::fwrite(&kMagic, sizeof(kMagic), 1, f) == 1 &&
-                 std::fwrite(&version, sizeof(version), 1, f) == 1 &&
-                 std::fwrite(&record_bytes, sizeof(record_bytes), 1,
-                             f) == 1;
+    std::string image;
+    append(image, &kMagic, sizeof(kMagic));
+    append(image, &version, sizeof(version));
+    append(image, &record_bytes, sizeof(record_bytes));
     for (const auto &[key, s] : cache_) {
-        if (!wrote)
-            break;
         const auto len = static_cast<std::uint32_t>(key.size());
         const std::uint64_t checksum =
             recordChecksum(key, s.outcome, s.stamp);
-        wrote = std::fwrite(&len, sizeof(len), 1, f) == 1 &&
-                std::fwrite(key.data(), 1, len, f) == len &&
-                std::fwrite(&s.outcome, sizeof(Outcome), 1, f) == 1 &&
-                std::fwrite(&s.stamp, sizeof(s.stamp), 1, f) == 1 &&
-                std::fwrite(&checksum, sizeof(checksum), 1, f) == 1;
+        append(image, &len, sizeof(len));
+        append(image, key.data(), len);
+        append(image, &s.outcome, sizeof(Outcome));
+        append(image, &s.stamp, sizeof(s.stamp));
+        append(image, &checksum, sizeof(checksum));
     }
-    if (std::fclose(f) != 0)
-        wrote = false;
-    if (!wrote) {
-        const int saved = errno;
-        std::remove(tmp.c_str());
-        return classifyWriteErrno(saved, "short write to " + tmp);
-    }
-    // Atomic publish: readers see either the old or the new complete
-    // store, never a partial write.
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-        const int saved = errno;
-        std::remove(tmp.c_str());
-        return classifyWriteErrno(saved, "cannot rename " + tmp +
-                                             " to " + path_);
-    }
-    return Status();
+    return publishFile(path_, image);
 }
 
 bool
@@ -295,16 +276,6 @@ OutcomeStore::get(const std::string &key, Outcome &out)
     it->second.stamp = nowStamp();  // LRU touch (persisted next put)
     out = it->second.outcome;
     return true;
-}
-
-bool
-OutcomeStore::durable(const std::string &key) const
-{
-    if (path_.empty())
-        return false;
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto disk = readDisk(nullptr);
-    return disk.find(key) != disk.end();
 }
 
 Status

@@ -1,10 +1,9 @@
 /**
  * @file
- * Disk-backed store of Outcome records keyed by the runner's job key.
- * Originally bench-only plumbing; promoted into the harness so the
- * campaign work-queue (src/campaign) and the bench binaries share one
- * implementation — the store is the common backend every worker
- * process reads and writes.
+ * Disk-backed store of Outcome records keyed by the runner's job key,
+ * the cache behind the figure benches' Runner (`bench_cache.bin`).
+ * Campaigns do not use it: their done files carry the outcome
+ * (campaign/queue.hh).
  */
 
 #ifndef BOUQUET_HARNESS_OUTCOMESTORE_HH
@@ -33,7 +32,7 @@ namespace bouquet
  * and its first write, before the atomic-rename publish — is a plain
  * miss, not corruption: it is evicted (under the lock) at load so the
  * entry is recomputed cleanly.
- * Writes go through a sidecar lock file and an atomic rename of the
+ * Writes go through a sidecar lock file and publishFile() of the
  * complete store, after merging the entries currently on disk, so any
  * number of concurrent bench processes can share one cache file
  * without corrupting it or losing each other's completed entries.
@@ -79,14 +78,6 @@ class OutcomeStore
      * returned (transient: a later put retries the whole merge).
      */
     Status put(const std::string &key, const Outcome &out);
-
-    /**
-     * True when `key` is present in the on-disk file right now (the
-     * memory cache is deliberately not consulted). The campaign
-     * worker gates its done-marker on this: a degraded (memory-only)
-     * persist must not be published as durable.
-     */
-    bool durable(const std::string &key) const;
 
     /** Entries currently in memory. */
     std::size_t size() const;

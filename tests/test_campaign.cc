@@ -6,15 +6,17 @@
  * nonce-verified reclaim, attempt-budget quarantine, atomic publish,
  * scan-time litter reaping, fault injection), the in-process worker
  * loop end to end — a reclaimed job resuming a dead owner's periodic
- * checkpoint and still producing a byte-identical report — and
- * multi-process store/queue contention with real forked workers
- * (exactly-once compute under >= 4 processes).
+ * checkpoint and still producing a byte-identical report —
+ * multi-process queue contention with real forked workers
+ * (exactly-once compute under >= 4 processes), and done files: a
+ * real outcome round-trips, and a damaged one reads as incomplete.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -32,9 +34,9 @@
 #include "campaign/queue.hh"
 #include "campaign/worker.hh"
 #include "common/faultinject.hh"
+#include "dse/dse.hh"
 #include "harness/experiment.hh"
 #include "harness/factory.hh"
-#include "harness/outcomestore.hh"
 #include "harness/runner.hh"
 #include "trace/suite.hh"
 #include "tests/test_support.hh"
@@ -390,6 +392,29 @@ TEST_F(CampaignTest, ScanCountsAndReapsLitter)
     EXPECT_FALSE(std::filesystem::exists(queue.leasePath("aaaa")));
 }
 
+TEST_F(CampaignTest, ScanReapsOnlyAgedPublishTemps)
+{
+    // A worker killed mid-publish leaves its hidden temp file behind;
+    // scan reaps it once it is older than 2xTTL, and leaves a temp
+    // that a live publish may still rename alone.
+    TempDir dir;
+    QueueConfig cfg = queueConfig(dir.path);
+    cfg.leaseTtl = 2.0;
+    WorkQueue queue(cfg, "alpha");
+    const std::string aged = dir.file(".done-00000000deadbeef.tmp.4242");
+    const std::string legacy = dir.file(".tmp-done-00000000deadbeef.4243");
+    const std::string fresh = dir.file(".done-00000000feedface.tmp.4244");
+    for (const std::string &path : {aged, legacy, fresh})
+        std::ofstream(path) << "partial";
+    backdate(aged, 5.0);
+    backdate(legacy, 5.0);
+
+    queue.scan({});
+    EXPECT_FALSE(std::filesystem::exists(aged));
+    EXPECT_FALSE(std::filesystem::exists(legacy));
+    EXPECT_TRUE(std::filesystem::exists(fresh));
+}
+
 TEST_F(CampaignTest, FutureDatedLeaseIsClampedNotTreatedAsMissing)
 {
     // Clock skew on a shared filesystem can stamp a lease with a
@@ -529,15 +554,18 @@ TEST_F(CampaignTest, WorkerDrivesCampaignAndQuarantinesPoisonJob)
     EXPECT_TRUE(historyContains(queue.history(hashes.back()),
                                 "unknown trace 'no.such_trace-0B'"));
 
-    // Every done job's outcome is durable in the shared store, and
-    // its stats artifact exists under the campaign's stats dir.
-    OutcomeStore store(paths.storeFile());
+    // Every done job's done file carries its outcome, and its stats
+    // artifact exists under the campaign's stats dir. No shared
+    // outcome store is written.
     for (std::size_t i = 0; i + 1 < spec.jobs.size(); ++i) {
-        Outcome out;
-        EXPECT_TRUE(store.get(keyOf(spec.jobs[i], cfg), out));
+        Result<Outcome> out =
+            queue.readDone(hashes[i], keyOf(spec.jobs[i], cfg));
+        ASSERT_TRUE(out.ok()) << out.error().message;
+        EXPECT_GT(out.value().ipc, 0.0);
         EXPECT_TRUE(std::filesystem::exists(
             paths.statsDir() + "/stats-" + hashes[i] + ".json"));
     }
+    EXPECT_FALSE(std::filesystem::exists(paths.root + "/outcomes.bin"));
 
     ASSERT_TRUE(writeReport(paths, spec).ok());
     Result<CampaignTotals> totals = writeSummary(paths, spec);
@@ -623,21 +651,19 @@ TEST_F(CampaignTest, ReclaimResumesDeadOwnersCheckpointDeterministically)
 // ---- multi-process contention (real forked workers) ----
 
 /**
- * One forked worker: claim jobs through the queue, compute-and-put
- * into the shared store exactly when the key is absent, log each
- * compute through an O_APPEND write, publish done. Exits 0 once every
- * job is terminal; nonzero on any protocol violation.
+ * One forked worker: claim jobs through the queue, compute each
+ * claimed job (logging the compute through an O_APPEND write), and
+ * publish the outcome as its done file. Exits 0 once every job is
+ * terminal; nonzero on any protocol violation.
  */
 int
 contentionChild(const std::string &queue_dir,
-                const std::string &store_path,
                 const std::string &log_path,
                 const std::vector<std::string> &keys,
                 const std::vector<std::string> &hashes)
 {
     WorkQueue queue(queueConfig(queue_dir),
                     "c" + std::to_string(::getpid()));
-    OutcomeStore store(store_path);
     for (unsigned pass = 0; pass < 200'000; ++pass) {
         std::size_t terminal = 0;
         for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -650,29 +676,21 @@ contentionChild(const std::string &queue_dir,
                 return 3;
             if (!claim.value().claimed)
                 continue;
-            Outcome out;
-            if (!store.get(keys[i], out)) {
-                const std::string line = "compute " + keys[i] + "\n";
-                const int fd =
-                    ::open(log_path.c_str(),
-                           O_CREAT | O_WRONLY | O_APPEND, 0644);
-                if (fd < 0)
-                    return 4;
-                (void)!::write(fd, line.data(), line.size());
-                ::close(fd);
-                if (!store
-                         .put(keys[i],
-                              fakeOutcome(static_cast<double>(i + 1)))
-                         .ok()) {
-                    queue.release(hashes[i], claim.value().nonce);
-                    return 5;
-                }
-            }
+            const std::string line = "compute " + keys[i] + "\n";
+            const int fd = ::open(log_path.c_str(),
+                                  O_CREAT | O_WRONLY | O_APPEND, 0644);
+            if (fd < 0)
+                return 4;
+            (void)!::write(fd, line.data(), line.size());
+            ::close(fd);
             if (!queue
-                     .publishDone(hashes[i], keys[i],
-                                  claim.value().nonce)
-                     .ok())
+                     .publishDone(
+                         hashes[i], keys[i], claim.value().nonce,
+                         fakeOutcome(static_cast<double>(i + 1)))
+                     .ok()) {
                 queue.release(hashes[i], claim.value().nonce);
+                return 5;
+            }
         }
         if (terminal == keys.size())
             return 0;
@@ -685,7 +703,6 @@ TEST_F(CampaignTest, FourProcessesComputeEachKeyExactlyOnce)
     TempDir dir;
     const std::string queue_dir = dir.file("queue");
     ASSERT_EQ(::mkdir(queue_dir.c_str(), 0777), 0);
-    const std::string store_path = dir.file("outcomes.bin");
     const std::string log_path = dir.file("computes.log");
 
     std::vector<std::string> keys;
@@ -702,8 +719,7 @@ TEST_F(CampaignTest, FourProcessesComputeEachKeyExactlyOnce)
         ASSERT_GE(pid, 0);
         if (pid == 0) {
             // Child: plain worker process, no gtest machinery.
-            ::_exit(contentionChild(queue_dir, store_path, log_path,
-                                    keys, hashes));
+            ::_exit(contentionChild(queue_dir, log_path, keys, hashes));
         }
         children.push_back(pid);
     }
@@ -734,17 +750,127 @@ TEST_F(CampaignTest, FourProcessesComputeEachKeyExactlyOnce)
     for (std::size_t i = 0; i < keys.size(); ++i)
         EXPECT_EQ(computes[i], 1u) << keys[i];
 
-    // The merged store holds every key, uncorrupted, with the
-    // deterministic per-key value.
-    OutcomeStore store(store_path);
-    EXPECT_EQ(store.corruptRecords(), 0u);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        Outcome out;
-        ASSERT_TRUE(store.get(keys[i], out)) << keys[i];
-        EXPECT_DOUBLE_EQ(out.ipc, static_cast<double>(i + 1));
-    }
+    // Every done file holds its key's deterministic value, intact.
     WorkQueue queue(queueConfig(queue_dir), "parent");
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        Result<Outcome> out = queue.readDone(hashes[i], keys[i]);
+        ASSERT_TRUE(out.ok()) << keys[i] << ": " << out.error().message;
+        EXPECT_DOUBLE_EQ(out.value().ipc, static_cast<double>(i + 1));
+    }
     EXPECT_EQ(queue.scan(hashes).done, keys.size());
+}
+
+// ---- done files ----
+
+class DoneFileTest : public CampaignTest
+{
+};
+
+TEST_F(DoneFileTest, RealOutcomeRoundTripsFieldForField)
+{
+    TempDir dir;
+    WorkQueue queue(queueConfig(dir.path), "alpha");
+    ExperimentConfig cfg;
+    cfg.warmupInstrs = 4'000;
+    cfg.simInstrs = 20'000;
+    Outcome out = runSingleCore(findTrace("603.bwaves_s-891B"),
+                                [](System &s) { applyCombo(s, "ipcp"); },
+                                cfg);
+    ASSERT_GT(out.l1d.demandAccesses(), 0u);
+    ASSERT_GT(out.dram.reads, 0u);
+    // Provenance is off in a plain run; set it so it round-trips too.
+    out.resumed = true;
+    out.ckptCycle = 12'345;
+    out.warmStart = true;
+
+    const std::string key = "603.bwaves_s-891B|ipcp|round-trip";
+    const std::string hash = keyHash(key);
+    Result<Claim> claim = queue.tryClaim(hash);
+    ASSERT_TRUE(claim.ok() && claim.value().claimed);
+    ASSERT_TRUE(
+        queue.publishDone(hash, key, claim.value().nonce, out).ok());
+    EXPECT_EQ(queue.state(hash), JobState::Done);
+
+    Result<Outcome> back = queue.readDone(hash, key);
+    ASSERT_TRUE(back.ok()) << back.error().message;
+    const Outcome &got = back.value();
+    EXPECT_EQ(got.ipc, out.ipc);
+    EXPECT_EQ(got.instructions, out.instructions);
+    EXPECT_EQ(got.cycles, out.cycles);
+    for (const auto &[a, b] :
+         {std::pair{&got.l1i, &out.l1i}, std::pair{&got.l1d, &out.l1d},
+          std::pair{&got.l2, &out.l2}, std::pair{&got.llc, &out.llc}})
+        EXPECT_EQ(std::memcmp(a, b, sizeof(CacheStats)), 0);
+    EXPECT_EQ(std::memcmp(&got.dram, &out.dram, sizeof(Dram::Stats)), 0);
+    EXPECT_EQ(got.dramBytes, out.dramBytes);
+    EXPECT_EQ(got.ticksExecuted, out.ticksExecuted);
+    EXPECT_EQ(got.skippedCycles, out.skippedCycles);
+    EXPECT_EQ(got.resumed, out.resumed);
+    EXPECT_EQ(got.ckptCycle, out.ckptCycle);
+    EXPECT_EQ(got.warmStart, out.warmStart);
+
+    // The file answers only for the key it was written for.
+    EXPECT_FALSE(queue.readDone(hash, "another|key").ok());
+}
+
+TEST_F(DoneFileTest, DamagedFileReadsIncompleteAndFailsScoring)
+{
+    EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
+    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
+    EnvGuard warm_dir("IPCP_WARM_DIR", nullptr);
+    EnvGuard warm("IPCP_WARM", nullptr);
+    const std::string trace = "603.bwaves_s-891B";
+    for (const bool truncate : {true, false}) {
+        SCOPED_TRACE(truncate ? "truncated" : "bit-flipped");
+        TempDir dir;
+        dse::DseOptions opts;
+        opts.root = dir.file("search");
+        opts.traces = {trace};
+        opts.space.knobs.push_back({"ipEntries", {"32"}});
+        opts.rungInstrs = {5'000};
+        opts.warmupInstrs = 1'000;
+        opts.progress = false;
+        Result<dse::DseReport> first = dse::runSearch(opts);
+        ASSERT_TRUE(first.ok()) << first.error().message;
+
+        const CampaignPaths paths(opts.root + "/rung-1");
+        Result<CampaignSpec> spec = readManifest(paths);
+        ASSERT_TRUE(spec.ok());
+        const std::string key = keyOf(CampaignJob{trace, "ipcp"},
+                                      campaignConfig(paths, spec.value()));
+        const std::string done =
+            WorkQueue(queueConfig(paths.queueDir()), "test")
+                .donePath(keyHash(key));
+        const auto size = std::filesystem::file_size(done);
+        if (truncate) {
+            std::filesystem::resize_file(done, size / 2);
+        } else {
+            std::fstream f(done, std::ios::in | std::ios::out |
+                                     std::ios::binary);
+            f.seekg(static_cast<std::streamoff>(size - 1));
+            const char last = static_cast<char>(f.get());
+            f.seekp(static_cast<std::streamoff>(size - 1));
+            f.put(static_cast<char>(last ^ 0x10));
+        }
+
+        // The resumed search finds every job terminal, writes the
+        // rung report, and stops at scoring with the job's name.
+        Result<dse::DseReport> again = dse::runSearch(opts);
+        ASSERT_FALSE(again.ok());
+        EXPECT_NE(again.error().message.find(trace + " under ipcp "),
+                  std::string::npos)
+            << again.error().message;
+
+        const std::string report = readAll(paths.reportFile());
+        const std::size_t at = report.find(keyHash(key));
+        ASSERT_NE(at, std::string::npos);
+        const std::size_t incomplete = report.find("\"incomplete\"");
+        EXPECT_NE(incomplete, std::string::npos);
+        EXPECT_LT(at, incomplete);
+        EXPECT_EQ(report.find("\"incomplete\"", incomplete + 1),
+                  std::string::npos)
+            << "only the damaged job is incomplete";
+    }
 }
 
 } // namespace

@@ -1,9 +1,8 @@
 /**
  * @file
  * Resource-exhaustion resilience tests (DESIGN.md §5i): disk-budget
- * LRU sweeps, OutcomeStore record GC and durable() disk probes,
- * ENOSPC graceful degradation through the *.nospace fault points and
- * the degraded-publish ledger, the TracePool memory budget with
+ * LRU sweeps, OutcomeStore record GC, ENOSPC graceful degradation
+ * through the *.nospace fault points and the degraded-publish ledger, the TracePool memory budget with
  * live-cursor pinning, the supervisor's StallTracker, worker pulse
  * beacons, and a seeded random-bytes fuzzer proving every store
  * reader heals or rejects garbage instead of crashing.
@@ -190,7 +189,7 @@ TEST_F(ResilienceTest, DiskBudgetSweepSurvivesMissingDirectory)
     budget.sweep();  // must not crash or throw
 }
 
-// ---- OutcomeStore: record GC, durable(), nospace degradation ----
+// ---- OutcomeStore: record GC, nospace degradation ----
 
 TEST_F(ResilienceTest, OutcomeStoreBudgetEvictsRecordsButKeepsNewest)
 {
@@ -219,25 +218,11 @@ TEST_F(ResilienceTest, OutcomeStoreBudgetEvictsRecordsButKeepsNewest)
     EXPECT_GE(reread.size(), 1u);
 }
 
-TEST_F(ResilienceTest, OutcomeStoreDurableProbesDiskNotMemory)
-{
-    TempDir dir;
-    OutcomeStore store(dir.file("outcomes.bin"));
-    EXPECT_FALSE(store.durable("k"));
-
-    ASSERT_TRUE(store.put("k", sampleOutcome(1.0)).ok());
-    EXPECT_TRUE(store.durable("k"));
-
-    // Memory-only stores are never durable.
-    OutcomeStore memonly{std::string()};
-    ASSERT_TRUE(memonly.put("k", sampleOutcome(1.0)).ok());
-    EXPECT_FALSE(memonly.durable("k"));
-}
-
 TEST_F(ResilienceTest, OutcomeStoreNospaceDegradesToPassThrough)
 {
     TempDir dir;
-    OutcomeStore store(dir.file("outcomes.bin"));
+    const std::string path = dir.file("outcomes.bin");
+    OutcomeStore store(path);
     ASSERT_TRUE(FaultRegistry::instance()
                     .configure("store.nospace@1+")
                     .ok());
@@ -254,15 +239,18 @@ TEST_F(ResilienceTest, OutcomeStoreNospaceDegradesToPassThrough)
     Outcome out;
     EXPECT_TRUE(store.get("k", out));
     EXPECT_DOUBLE_EQ(out.ipc, 2.0);
-    // …but the entry is not durable.
-    EXPECT_FALSE(store.durable("k"));
+    // …but nothing reached the disk: a reloaded store lacks it.
+    EXPECT_FALSE(OutcomeStore(path).get("k", out));
 
     // Space comes back: the next successful persist recovers the
     // entry (put rewrites the whole merged cache).
     FaultRegistry::instance().clear();
     ASSERT_TRUE(store.put("k2", sampleOutcome(3.0)).ok());
-    EXPECT_TRUE(store.durable("k"));
-    EXPECT_TRUE(store.durable("k2"));
+    OutcomeStore reloaded(path);
+    EXPECT_TRUE(reloaded.get("k", out));
+    EXPECT_DOUBLE_EQ(out.ipc, 2.0);
+    EXPECT_TRUE(reloaded.get("k2", out));
+    EXPECT_DOUBLE_EQ(out.ipc, 3.0);
 }
 
 // ---- WarmStore nospace degradation ----

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the parallel experiment runner: serial/parallel outcome
- * determinism, in-batch deduplication and cache hooks, RunCache under
- * concurrent access (meaningful under -fsanitize=thread), and the
- * versioned on-disk outcome store's corruption handling.
+ * determinism, in-batch deduplication and cache hooks, and the
+ * versioned on-disk outcome store's corruption handling and
+ * concurrent access (meaningful under -fsanitize=thread).
  */
 
 #include <gtest/gtest.h>
@@ -156,41 +156,6 @@ TEST(Runner, FetchAndStoreHooksBackTheBatch)
     EXPECT_EQ(stored.size(), jobs.size() - 1);  // only simulated jobs
     for (const std::string &key : stored)
         EXPECT_NE(key, served);
-}
-
-TEST(Runner, RunCacheIsRaceFreeUnderConcurrentIpc)
-{
-    // Meaningful under -fsanitize=thread: many threads hammer one
-    // RunCache with a mix of cold and hot keys.
-    const ExperimentConfig cfg = tinyConfig();
-    RunCache cache;
-    const char *traces[] = {"603.bwaves_s-891B", "619.lbm_s-2676B"};
-    const AttachFn attach = comboAttach("none");
-
-    std::vector<double> results[2];
-    std::mutex mutex;
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < 8; ++t) {
-        threads.emplace_back([&, t] {
-            for (unsigned rep = 0; rep < 3; ++rep) {
-                const unsigned which = (t + rep) % 2;
-                const double ipc = cache.ipc(findTrace(traces[which]),
-                                             "none", attach, cfg);
-                std::lock_guard<std::mutex> lock(mutex);
-                results[which].push_back(ipc);
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-
-    for (const auto &values : results) {
-        ASSERT_FALSE(values.empty());
-        for (const double v : values) {
-            EXPECT_GT(v, 0.0);
-            EXPECT_DOUBLE_EQ(v, values.front());
-        }
-    }
 }
 
 class OutcomeStoreTest : public ::testing::Test

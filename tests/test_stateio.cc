@@ -5,7 +5,8 @@
  * integer arrays and for elements with their own serialize(), the two
  * run writers agreeing byte for byte, the allocation guard and the
  * run-header checks against hand-built payloads, every prefix of a
- * real warm state failing cleanly, and the size of that state.
+ * real warm state failing cleanly, and the size of that state; and
+ * publishFile, the atomic file publish every writer goes through.
  */
 
 #include <gtest/gtest.h>
@@ -13,14 +14,21 @@
 #include <array>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/errors.hh"
 #include "common/stateio.hh"
 #include "core/system.hh"
 #include "harness/factory.hh"
 #include "trace/suite.hh"
+#include "tests/test_support.hh"
 
 namespace bouquet
 {
@@ -287,6 +295,97 @@ TEST(StateIoRuns, EveryPrefixOfAWarmStateFailsCleanly)
     }
     // Most cuts land mid-field and must read as truncation.
     EXPECT_GT(truncated, state.size() / 2);
+}
+
+// ---- publishFile ----
+
+std::string
+readAll(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Names in `dir` that look like publish temp files. */
+std::vector<std::string>
+tempFiles(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        const std::string name = e.path().filename().string();
+        if (name.find(".tmp") != std::string::npos)
+            names.push_back(name);
+    }
+    return names;
+}
+
+TEST(PublishFile, ReplacesAnExistingFileAndLeavesNoTemp)
+{
+    test::TempDir dir;
+    const std::string path = dir.file("report.json");
+    ASSERT_TRUE(publishFile(path, "old").ok());
+    ASSERT_TRUE(publishFile(path, "new bytes").ok());
+    EXPECT_EQ(readAll(path), "new bytes");
+    EXPECT_TRUE(tempFiles(dir.path).empty());
+}
+
+TEST(PublishFile, ReadersSeeTheOldOrTheNewBytesNeverAMix)
+{
+    test::TempDir dir;
+    const std::string path = dir.file("shared.bin");
+    const std::string a(8192, 'a');
+    const std::string b(8192, 'b');
+    ASSERT_TRUE(publishFile(path, a).ok());
+
+    const pid_t writer = ::fork();
+    ASSERT_GE(writer, 0);
+    if (writer == 0) {
+        bool ok = true;
+        for (int i = 0; i < 60 && ok; ++i)
+            ok = publishFile(path, i % 2 == 0 ? b : a).ok();
+        ::_exit(ok ? 0 : 1);
+    }
+    int status = 0;
+    unsigned reads = 0;
+    while (::waitpid(writer, &status, WNOHANG) == 0) {
+        const std::string got = readAll(path);
+        EXPECT_TRUE(got == a || got == b)
+            << "read " << got.size() << " bytes of a torn file";
+        ++reads;
+    }
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+    EXPECT_GT(reads, 0u);
+    EXPECT_TRUE(tempFiles(dir.path).empty());
+}
+
+TEST(PublishFile, AFailedPublishLeavesTheTargetAndNoTemp)
+{
+    test::TempDir dir;
+    // The target is a non-empty directory: the temp file is written,
+    // then the rename fails, and the temp must go with it.
+    const std::string occupied = dir.file("occupied");
+    ASSERT_EQ(::mkdir(occupied.c_str(), 0755), 0);
+    ASSERT_TRUE(publishFile(occupied + "/keep", "kept").ok());
+    const Status st = publishFile(occupied, "bytes");
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, Errc::io);
+    EXPECT_TRUE(std::filesystem::is_directory(occupied));
+    EXPECT_TRUE(tempFiles(dir.path).empty());
+
+    // An unwritable directory. Root writes there anyway, so only an
+    // unprivileged run can observe this failure.
+    const std::string locked = dir.file("locked");
+    ASSERT_EQ(::mkdir(locked.c_str(), 0755), 0);
+    const std::string path = locked + "/file";
+    ASSERT_TRUE(publishFile(path, "old").ok());
+    ASSERT_EQ(::chmod(locked.c_str(), 0555), 0);
+    if (::geteuid() != 0) {
+        EXPECT_FALSE(publishFile(path, "new").ok());
+        EXPECT_EQ(readAll(path), "old");
+        EXPECT_TRUE(tempFiles(locked).empty());
+    }
+    ASSERT_EQ(::chmod(locked.c_str(), 0755), 0);
 }
 
 } // namespace

@@ -202,16 +202,26 @@ TEST(Harness, SampleMixesDeterministic)
     }
 }
 
-TEST(Harness, RunCacheMemoizes)
+TEST(Harness, WeightedSpeedupTracksWarmupLength)
 {
-    RunCache cache;
-    const ExperimentConfig cfg = quickConfig();
+    // Each alone-IPC is simulated under the caller's config: a second
+    // call at another warmup length must not reuse the first call's.
     const TraceSpec &spec = findTrace("603.bwaves_s-891B");
     const AttachFn attach = [](System &s) { applyCombo(s, "none"); };
-    const double a = cache.ipc(spec, "none", attach, cfg);
-    const double b = cache.ipc(spec, "none", attach, cfg);
-    EXPECT_DOUBLE_EQ(a, b);
-    EXPECT_GT(a, 0.0);
+    MixOutcome mix;
+    mix.traces = {spec.name};
+    mix.ipc = {1.0};
+    ExperimentConfig short_warm = quickConfig();
+    short_warm.warmupInstrs = 1'000;
+    ExperimentConfig long_warm = short_warm;
+    long_warm.warmupInstrs = 20'000;
+    const double alone_short = runSingleCore(spec, attach, short_warm).ipc;
+    const double alone_long = runSingleCore(spec, attach, long_warm).ipc;
+    ASSERT_NE(alone_short, alone_long);
+    EXPECT_DOUBLE_EQ(weightedSpeedup(mix, attach, short_warm),
+                     1.0 / alone_short);
+    EXPECT_DOUBLE_EQ(weightedSpeedup(mix, attach, long_warm),
+                     1.0 / alone_long);
 }
 
 TEST(Harness, TablePrinterAlignsColumns)
@@ -295,7 +305,7 @@ TEST(EndToEnd, WeightedSpeedupIsPerCoreNormalized)
                                      findTrace("619.lbm_s-2676B")};
     const AttachFn attach = [](System &s) { applyCombo(s, "none"); };
     const MixOutcome out = runMix(mix, attach, cfg);
-    const double ws = weightedSpeedup(out, "none", attach, cfg);
+    const double ws = weightedSpeedup(out, attach, cfg);
     // Each core runs at most as fast as it does alone.
     EXPECT_LE(ws, 2.05);
     EXPECT_GT(ws, 0.5);

@@ -1,9 +1,10 @@
 /**
  * @file
- * Lightweight simulator-throughput instrumentation: a wall-clock timer
- * and the per-run counter bundle (cycles simulated, ticks actually
+ * Lightweight simulator-throughput instrumentation: a wall-clock timer,
+ * the per-run counter bundle (cycles simulated, ticks actually
  * executed, cycles skipped by the event-skipping loop, instructions)
- * that `bench_throughput` and `ipcp_sim --perf` report from.
+ * that `bench_throughput` and `ipcp_sim --perf` report from, and the
+ * sampled per-component split of executed-tick time.
  *
  * Everything here is host-side measurement; nothing feeds back into
  * simulated state, so perf counters never affect simulated outcomes.
@@ -12,6 +13,8 @@
 #ifndef BOUQUET_COMMON_PERFCOUNT_HH
 #define BOUQUET_COMMON_PERFCOUNT_HH
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 
@@ -58,6 +61,85 @@ struct PerfCounters
     {
         io.io(ticksExecuted);
         io.io(skippedCycles);
+    }
+};
+
+/**
+ * Where executed-tick time goes, by component kind (`ipcp_sim
+ * --perf`). System::timeTicks samples one executed tick in 64 with
+ * steady_clock, adding each part's host nanoseconds here; `Wakeup`
+ * is the next-wakeup scan plus the skip that follows the sampled
+ * tick. A clock read costs about as much as a component's tick, so
+ * every lap is charged net of one read (`clockNs`). Host-side only:
+ * never serialized and never in stats JSON.
+ */
+struct TickTimes
+{
+    enum Part : unsigned
+    {
+        Dram = 0,
+        Llc,
+        L2,
+        L1d,
+        L1i,
+        Core,
+        Egress,  //!< the multi-core deferred L2→LLC flush
+        Wakeup,
+        kParts,
+    };
+
+    static constexpr const char *kNames[kParts] = {
+        "dram", "llc", "l2", "l1d", "l1i", "core", "egress",
+        "wakeup+skip"};
+
+    std::array<std::uint64_t, kParts> ns{};    //!< raw lap time
+    std::array<std::uint64_t, kParts> laps{};  //!< laps timed
+    std::uint64_t samples = 0;                 //!< executed ticks timed
+    double clockNs = 0.0;  //!< one steady_clock read, charged per lap
+
+    /** Charge one timed lap of `d` to `p`. */
+    void
+    add(Part p, std::chrono::steady_clock::duration d)
+    {
+        ++laps[p];
+        ns[p] += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(d)
+                .count());
+    }
+
+    /** Time spent in `p`, net of the clock reads that timed it. */
+    double
+    netNs(Part p) const
+    {
+        return std::max(0.0, static_cast<double>(ns[p]) -
+                                 static_cast<double>(laps[p]) * clockNs);
+    }
+
+    /** Share of the net timed nanoseconds spent in `p`, in [0,1]. */
+    double
+    share(Part p) const
+    {
+        double total = 0.0;
+        for (unsigned q = 0; q < kParts; ++q)
+            total += netNs(static_cast<Part>(q));
+        return total == 0.0 ? 0.0 : netNs(p) / total;
+    }
+
+    /** Median gap between back-to-back steady_clock reads, in ns. */
+    static double
+    measureClockNs()
+    {
+        using Clock = std::chrono::steady_clock;
+        std::array<std::int64_t, 255> gaps{};
+        for (std::int64_t &g : gaps) {
+            const Clock::time_point a = Clock::now();
+            const Clock::time_point b = Clock::now();
+            g = std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
+                    .count();
+        }
+        std::nth_element(gaps.begin(), gaps.begin() + gaps.size() / 2,
+                         gaps.end());
+        return static_cast<double>(gaps[gaps.size() / 2]);
     }
 };
 

@@ -103,24 +103,64 @@ void
 System::tickAll(Cycle cycle)
 {
     ++perf_.ticksExecuted;
+    timedPass_ = tickTimes_ != nullptr && (perf_.ticksExecuted & 63) == 0;
+    if (timedPass_) [[unlikely]]
+        tickParts<true>(cycle);
+    else
+        tickParts<false>(cycle);
+}
+
+void
+System::timeTicks(TickTimes *sink)
+{
+    tickTimes_ = sink;
+    if (sink != nullptr)
+        sink->clockNs = TickTimes::measureClockNs();
+}
+
+template <bool Timed>
+void
+System::tickParts(Cycle cycle)
+{
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point mark;
+    if constexpr (Timed) {
+        ++tickTimes_->samples;
+        mark = Clock::now();
+    }
+    auto lap = [&](TickTimes::Part part) {
+        if constexpr (Timed) {
+            const Clock::time_point t = Clock::now();
+            tickTimes_->add(part, t - mark);
+            mark = t;
+        }
+    };
+
     // Shared levels first so their responses propagate upward within a
     // cycle, then each core's private cluster (L2 → L1D → L1I → core).
     // With deferred L2 egress no cluster calls into the LLC until the
     // flush below (DESIGN.md §5f).
     dram_->tick(cycle);
+    lap(TickTimes::Dram);
     llc_->tick(cycle);
+    lap(TickTimes::Llc);
     const unsigned n = numCores();
     for (unsigned c = 0; c < n; ++c) {
         l2s_[c]->tick(cycle);
+        lap(TickTimes::L2);
         l1ds_[c]->tick(cycle);
+        lap(TickTimes::L1d);
         l1is_[c]->tick(cycle);
+        lap(TickTimes::L1i);
         cores_[c]->tick(cycle);
+        lap(TickTimes::Core);
     }
     if (deferEgress_) {
         // Serial, in core order: the deterministic point where parked
         // L2 misses, writebacks and prefetch handoffs reach the LLC.
         for (auto &l2 : l2s_)
             l2->flushEgress();
+        lap(TickTimes::Egress);
     }
 }
 
@@ -311,6 +351,17 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
         return true;
     };
 
+    // The stall watchdog reads the process-wide progress epoch to tell
+    // "wedged" from "slow". Every loop pass counts as progress (not
+    // just watchdog boundaries, which cycle-skipping rarely lands on),
+    // but the epoch is one shared atomic, so bump it once per 256
+    // executed ticks (one tick per pass) rather than per pass: batch
+    // threads would otherwise all write its cache line every tick.
+    auto bumpEpoch = [&] {
+        if ((perf_.ticksExecuted & 0xFF) == 0)
+            bumpProgressEpoch();
+    };
+
     auto watchdog = [&] {
         std::uint64_t total = 0;
         for (unsigned c = 0; c < n; ++c)
@@ -359,7 +410,7 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
      * instruction target is recorded at the same boundary as under
      * per-cycle ticking.
      */
-    auto advance = [&](bool clamp_to_check) {
+    auto jump = [&](bool clamp_to_check) {
         Cycle wake = nextWakeupAll(cycle_ - 1);
         if (clamp_to_check)
             wake = std::min(wake, (((cycle_ >> 8) + 1) << 8) - 1);
@@ -367,6 +418,16 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
             return;
         watchdog_over_skip(wake);
         skipTo(wake);
+    };
+    auto advance = [&](bool clamp_to_check) {
+        if (!timedPass_) [[likely]] {
+            jump(clamp_to_check);
+            return;
+        }
+        const auto start = std::chrono::steady_clock::now();
+        jump(clamp_to_check);
+        tickTimes_->add(TickTimes::Wakeup,
+                        std::chrono::steady_clock::now() - start);
     };
 
     // Warmup. Skipped entirely when resuming from a checkpoint taken
@@ -376,10 +437,7 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
         while (!all_reached(rs_.warmupInstrs)) {
             tickAll(cycle_);
             ++cycle_;
-            // Every loop pass (not just watchdog boundaries, which
-            // cycle-skipping rarely lands on): the stall watchdog
-            // reads this epoch to tell "wedged" from "slow".
-            bumpProgressEpoch();
+            bumpEpoch();
             if ((cycle_ & 0xFFFF) == 0)
                 watchdog();
             if (auditTick_)
@@ -433,7 +491,7 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
                     }
                 }
             }
-            bumpProgressEpoch();
+            bumpEpoch();
             if ((cycle_ & 0xFFFF) == 0)
                 watchdog();
             if (auditTick_)
@@ -460,6 +518,7 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
         rs_.result.measuredCycles = cycle_ - rs_.measureStart;
         rs_.phase = Phase::Done;
     }
+    bumpProgressEpoch();
     return rs_.result;
 }
 

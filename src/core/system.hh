@@ -146,6 +146,15 @@ class System
     /** Host-side throughput counters (never affect simulated state). */
     const PerfCounters &perf() const { return perf_; }
 
+    /**
+     * Time one executed tick in 64, part by part, into `*sink` (see
+     * TickTimes; nullptr, the default, switches timing off). Call
+     * before run(); `*sink` must outlive it. Host-side only: timing
+     * never changes simulated state, stats or checkpoints, and off it
+     * costs one untaken branch per tick and per skip.
+     */
+    void timeTicks(TickTimes *sink);
+
     /** True when the event-skipping loop is disabled for this system. */
     bool tickEveryCycle() const { return noSkip_; }
 
@@ -338,6 +347,10 @@ class System
 
     void tickAll(Cycle cycle);
 
+    /** tickAll's body; `Timed` laps each part into tickTimes_. */
+    template <bool Timed>
+    void tickParts(Cycle cycle);
+
     void resetAllStats();
 
     /** Save to ckptPath_ when the periodic interval has elapsed. */
@@ -404,6 +417,8 @@ class System
     bool skipProfile_ = false;
     mutable std::array<std::uint64_t, KindCount> blockedBy_{};
     PerfCounters perf_;
+    TickTimes *tickTimes_ = nullptr;  //!< timeTicks sink, or off
+    bool timedPass_ = false;          //!< this pass's tick was timed
     RunState rs_;
 
     // Periodic checkpointing (setCheckpointEvery).

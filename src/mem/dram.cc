@@ -39,21 +39,40 @@ Dram::channelOf(LineAddr line) const
     return static_cast<unsigned>(line % config_.channels);
 }
 
-unsigned
-Dram::bankOf(LineAddr line) const
+void
+Dram::decode(Queued &q) const
 {
     const std::uint64_t lines_per_row = config_.rowBytes / kLineSize;
-    return static_cast<unsigned>((line / config_.channels /
-                                  lines_per_row) %
-                                 config_.banksPerChannel);
+    const std::uint64_t row_index =
+        q.req.line / config_.channels / lines_per_row;
+    q.bank = static_cast<unsigned>(row_index % config_.banksPerChannel);
+    q.row = row_index / config_.banksPerChannel;
 }
 
-std::uint64_t
-Dram::rowOf(LineAddr line) const
+Cycle
+Dram::windowOpensAt(const Channel &ch) const
 {
-    const std::uint64_t lines_per_row = config_.rowBytes / kLineSize;
-    return line / config_.channels / lines_per_row /
-           config_.banksPerChannel;
+    // schedule() starts nothing unless busFreeAt < now + window.
+    const Cycle window = 8 * config_.busCyclesPerLine;
+    return ch.busFreeAt + 1 > window ? ch.busFreeAt + 1 - window : 0;
+}
+
+Cycle
+Dram::startCycle(const Channel &ch) const
+{
+    Cycle ready = kNeverWakeup;  // stays so for an empty queue
+    for (const Queued &q : ch.queue)
+        ready = std::min(ready, ch.banks[q.bank].readyAt);
+    return std::max(ready, windowOpensAt(ch));
+}
+
+Cycle
+Dram::doneCycle(const Channel &ch)
+{
+    Cycle done = kNeverWakeup;
+    for (const Pending &p : ch.inflight)
+        done = std::min(done, p.readyAt);
+    return done;
 }
 
 bool
@@ -64,7 +83,12 @@ Dram::acceptRequest(const MemRequest &req)
         ++stats_.busyRejects;
         return false;
     }
-    ch.queue.push_back(req);
+    Queued &q = ch.queue.emplace_back();
+    q.req = req;
+    decode(q);
+    ch.nextStart = std::min(
+        ch.nextStart,
+        std::max(ch.banks[q.bank].readyAt, windowOpensAt(ch)));
     return true;
 }
 
@@ -84,10 +108,10 @@ Dram::schedule(Channel &ch, Cycle now)
         std::size_t pick = ch.queue.size();
         std::size_t fallback = ch.queue.size();
         for (std::size_t i = 0; i < ch.queue.size(); ++i) {
-            const Bank &b = ch.banks[bankOf(ch.queue[i].line)];
+            const Bank &b = ch.banks[ch.queue[i].bank];
             if (b.readyAt > now)
                 continue;
-            if (b.openRow == rowOf(ch.queue[i].line)) {
+            if (b.openRow == ch.queue[i].row) {
                 pick = i;
                 break;
             }
@@ -97,14 +121,14 @@ Dram::schedule(Channel &ch, Cycle now)
         if (pick == ch.queue.size())
             pick = fallback;
         if (pick == ch.queue.size())
-            return;  // all banks busy
+            break;  // all banks busy
 
-        MemRequest req = ch.queue[pick];
+        const Queued q = ch.queue[pick];
         ch.queue.erase(ch.queue.begin() +
                        static_cast<std::ptrdiff_t>(pick));
 
-        Bank &bank = ch.banks[bankOf(req.line)];
-        const bool row_hit = bank.openRow == rowOf(req.line);
+        Bank &bank = ch.banks[q.bank];
+        const bool row_hit = bank.openRow == q.row;
         const Cycle access = row_hit ? config_.rowHitLatency
                                      : config_.rowMissLatency;
         row_hit ? ++stats_.rowHits : ++stats_.rowMisses;
@@ -113,43 +137,70 @@ Dram::schedule(Channel &ch, Cycle now)
         const Cycle done = data_start + config_.busCyclesPerLine;
         ch.busFreeAt = done;
         stats_.dataCycles += config_.busCyclesPerLine;
-        bank.openRow = rowOf(req.line);
+        bank.openRow = q.row;
         // Same-row reads pipeline at tCCD; a row miss occupies the bank
         // for the precharge/activate window. The bus gate serializes
         // the data beats either way.
         bank.readyAt = row_hit ? now + 4 : now + access;
 
-        if (req.type == AccessType::Writeback) {
+        if (q.req.type == AccessType::Writeback) {
             ++stats_.writes;
             // Writes complete silently.
         } else {
             ++stats_.reads;
-            ch.inflight.push_back({req, done + config_.controllerLatency});
+            const Cycle ready = done + config_.controllerLatency;
+            ch.inflight.push_back({q.req, ready});
+            ch.nextDone = std::min(ch.nextDone, ready);
         }
         ++started;
     }
+    ch.nextStart = startCycle(ch);
+}
+
+void
+Dram::complete(Channel &ch, Cycle now)
+{
+    // Swap-removal: the in-flight order is checkpointed state, so the
+    // scan order must stay exactly this one.
+    Cycle next = kNeverWakeup;
+    for (std::size_t i = 0; i < ch.inflight.size();) {
+        if (ch.inflight[i].readyAt <= now) {
+            const MemRequest req = ch.inflight[i].req;
+            ch.inflight[i] = ch.inflight.back();
+            ch.inflight.pop_back();
+            if (req.requester != nullptr)
+                req.requester->onResponse(req);
+        } else {
+            next = std::min(next, ch.inflight[i].readyAt);
+            ++i;
+        }
+    }
+    ch.nextDone = next;
 }
 
 void
 Dram::tick(Cycle cycle)
 {
+    // Each channel works only when its cached completion or start
+    // cycle is due; before that both passes would be no-ops.
     for (Channel &ch : channels_) {
-        if (ch.inflight.empty() && ch.queue.empty())
-            continue;  // idle channel
-        // Complete transfers whose data has arrived.
-        for (std::size_t i = 0; i < ch.inflight.size();) {
-            if (ch.inflight[i].readyAt <= cycle) {
-                const MemRequest req = ch.inflight[i].req;
-                ch.inflight[i] = ch.inflight.back();
-                ch.inflight.pop_back();
-                if (req.requester != nullptr)
-                    req.requester->onResponse(req);
-            } else {
-                ++i;
-            }
-        }
-        // Start new accesses while the bus has room this cycle.
-        schedule(ch, cycle);
+        if (cycle >= ch.nextDone)
+            complete(ch, cycle);
+        // Read after the completions: a response handler may have
+        // queued a writeback on this channel.
+        if (cycle >= ch.nextStart)
+            schedule(ch, cycle);
+    }
+}
+
+void
+Dram::rederive()
+{
+    for (Channel &ch : channels_) {
+        for (Queued &q : ch.queue)
+            decode(q);
+        ch.nextDone = doneCycle(ch);
+        ch.nextStart = startCycle(ch);
     }
 }
 
@@ -158,14 +209,27 @@ Dram::audit() const
 {
     for (std::size_t c = 0; c < channels_.size(); ++c) {
         const Channel &ch = channels_[c];
+        auto fail = [c](const char *what) {
+            throw ErrorException(makeError(
+                Errc::corrupt,
+                "DRAM channel " + std::to_string(c) + " " + what));
+        };
         if (ch.queue.size() > config_.queueSize)
-            throw ErrorException(makeError(
-                Errc::corrupt, "DRAM channel " + std::to_string(c) +
-                                   " queue overflows its bound"));
+            fail("queue overflows its bound");
         if (ch.banks.size() != config_.banksPerChannel)
-            throw ErrorException(makeError(
-                Errc::corrupt, "DRAM channel " + std::to_string(c) +
-                                   " bank count mismatch"));
+            fail("bank count mismatch");
+        for (const Queued &q : ch.queue) {
+            Queued fresh = q;
+            decode(fresh);
+            if (channelOf(q.req.line) != c)
+                fail("queues a request of another channel");
+            if (fresh.bank != q.bank || fresh.row != q.row)
+                fail("holds a stale bank/row decode");
+        }
+        if (ch.nextDone != doneCycle(ch))
+            fail("cached completion cycle is stale");
+        if (ch.nextStart != startCycle(ch))
+            fail("cached start cycle is stale");
     }
 }
 
@@ -173,28 +237,9 @@ Cycle
 Dram::nextWakeup(Cycle now) const
 {
     Cycle wake = kNeverWakeup;
-    const Cycle window = 8 * config_.busCyclesPerLine;
-
-    for (const Channel &ch : channels_) {
-        for (const Pending &p : ch.inflight)
-            wake = std::min(wake, std::max(p.readyAt, now + 1));
-
-        if (!ch.queue.empty()) {
-            // First cycle any queued request's bank is ready...
-            Cycle t = kNeverWakeup;
-            for (const MemRequest &req : ch.queue)
-                t = std::min(t, ch.banks[bankOf(req.line)].readyAt);
-            t = std::max(t, now + 1);
-            // ...and the command-issue window re-opens (schedule
-            // requires busFreeAt < t + window).
-            if (ch.busFreeAt >= t + window)
-                t = ch.busFreeAt - window + 1;
-            wake = std::min(wake, t);
-        }
-        if (wake <= now + 1)
-            return wake;
-    }
-    return wake;
+    for (const Channel &ch : channels_)
+        wake = std::min({wake, ch.nextDone, ch.nextStart});
+    return std::max(wake, now + 1);
 }
 
 } // namespace bouquet

@@ -13,7 +13,6 @@
 #define BOUQUET_MEM_DRAM_HH
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/types.hh"
@@ -49,7 +48,7 @@ struct DramConfig
  * delays; the caller's RespTarget is invoked at completion. Writes
  * (writebacks) consume bank and bus time but produce no response.
  */
-class Dram : public ReqSink, public Clocked
+class Dram final : public ReqSink, public Clocked
 {
   public:
     /** Aggregate DRAM statistics. */
@@ -86,9 +85,13 @@ class Dram : public ReqSink, public Clocked
     /**
      * Earliest future cycle with work: the soonest in-flight
      * completion, or the first cycle a queued request could start
-     * (its bank ready and the command window open). No-op DRAM ticks
-     * touch no state or statistics, so skipping needs no
-     * reconciliation (no skipCycles/syncCycle overrides).
+     * (its bank ready and the command window open). Read from each
+     * channel's cached completion and start cycles, so it costs
+     * O(channels); those cycles are derived state, refreshed whenever
+     * the channel's queue, banks or bus change and recomputed on
+     * checkpoint load, never serialized. No-op DRAM ticks touch no
+     * state or statistics, so skipping needs no reconciliation (no
+     * skipCycles/syncCycle overrides).
      */
     Cycle nextWakeup(Cycle now) const override;
 
@@ -111,6 +114,8 @@ class Dram : public ReqSink, public Clocked
      * Channel count is configuration and must match; queues, bank
      * rows/timers and in-flight completions checkpoint in container
      * order (swap-removal makes the order state, not presentation).
+     * Decoded banks/rows and the cached event cycles are derived and
+     * rebuilt on read.
      */
     template <typename IO>
     void
@@ -120,12 +125,21 @@ class Dram : public ReqSink, public Clocked
         io.io(n);
         if (io.reading() && n != channels_.size())
             io.failCorrupt("checkpoint DRAM channel count mismatch");
-        for (auto &ch : channels_)
+        for (auto &ch : channels_) {
             ch.serialize(io);
+            if (io.reading() && ch.banks.size() != config_.banksPerChannel)
+                io.failCorrupt("checkpoint DRAM bank count mismatch");
+        }
         stats_.serialize(io);
+        if (io.reading())
+            rederive();
     }
 
-    /** Structural invariants; throws ErrorException on violation. */
+    /**
+     * Structural invariants, including every decoded bank/row and
+     * cached event cycle against a fresh recompute; throws
+     * ErrorException on violation.
+     */
     void audit() const;
 
   private:
@@ -157,12 +171,33 @@ class Dram : public ReqSink, public Clocked
         }
     };
 
+    /** A queued request with its bank and row decoded on arrival. */
+    struct Queued
+    {
+        MemRequest req;
+        unsigned bank = 0;
+        std::uint64_t row = 0;
+
+        /** Only the request is state; load re-decodes bank and row. */
+        template <typename IO>
+        void
+        serialize(IO &io)
+        {
+            io.io(req);
+        }
+    };
+
     struct Channel
     {
-        std::deque<MemRequest> queue;
+        std::vector<Queued> queue;
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
         std::vector<Pending> inflight;
+
+        // Derived from the fields above, never serialized.
+        Cycle nextDone = kNeverWakeup;   //!< earliest in-flight readyAt
+        Cycle nextStart = kNeverWakeup;  //!< first cycle schedule()
+                                         //!< can start a request
 
         template <typename IO>
         void
@@ -176,10 +211,21 @@ class Dram : public ReqSink, public Clocked
     };
 
     unsigned channelOf(LineAddr line) const;
-    unsigned bankOf(LineAddr line) const;
-    std::uint64_t rowOf(LineAddr line) const;
+    /** Fill in `q.bank` and `q.row` from `q.req.line`. */
+    void decode(Queued &q) const;
 
+    /** First cycle the command window admits a start on `ch`. */
+    Cycle windowOpensAt(const Channel &ch) const;
+    /** Recompute `ch.nextStart` from its queue, banks and bus. */
+    Cycle startCycle(const Channel &ch) const;
+    /** Recompute `ch.nextDone` from its in-flight transfers. */
+    static Cycle doneCycle(const Channel &ch);
+
+    void complete(Channel &ch, Cycle now);
     void schedule(Channel &ch, Cycle now);
+
+    /** Rebuild every derived field after a checkpoint load. */
+    void rederive();
 
     DramConfig config_;
     std::vector<Channel> channels_;

@@ -9,6 +9,7 @@
 #include "trace/suite.hh"
 #include "trace/workloads.hh"
 
+#include <memory>
 #include <sstream>
 
 namespace bouquet
@@ -85,6 +86,51 @@ TEST(System, DeterministicRepeat)
         return sys.run(5'000, 40'000).cores[0].ipc;
     };
     EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+TEST(System, TickTimingLeavesSimulationUnchanged)
+{
+    // ipcp_sim --perf times one executed tick in 64, part by part; a
+    // timed tick must simulate exactly what an untimed one does.
+    auto run = [](TickTimes *split) {
+        SystemConfig cfg;
+        cfg.dram.channels = 2;
+        std::vector<GeneratorPtr> w;
+        w.push_back(makeWorkload(findTrace("605.mcf_s-472B")));
+        w.push_back(makeWorkload(findTrace("619.lbm_s-2676B")));
+        auto sys = std::make_unique<System>(cfg, std::move(w));
+        applyCombo(*sys, "ipcp");
+        sys->timeTicks(split);
+        sys->run(5'000, 30'000);
+        return sys;
+    };
+    TickTimes split;
+    const std::unique_ptr<System> timed = run(&split);
+    const std::unique_ptr<System> plain = run(nullptr);
+
+    const auto a = timed->statRegistry().snapshot();
+    const auto b = plain->statRegistry().snapshot();
+    ASSERT_EQ(a.size(), b.size());
+    for (auto ia = a.begin(), ib = b.begin(); ia != a.end(); ++ia, ++ib) {
+        ASSERT_EQ(ia->first, ib->first);
+        EXPECT_EQ(ia->second.u, ib->second.u) << ia->first;
+        EXPECT_EQ(ia->second.d, ib->second.d) << ia->first;
+        EXPECT_EQ(ia->second.buckets, ib->second.buckets) << ia->first;
+    }
+
+    const std::uint64_t ticks = timed->perf().ticksExecuted;
+    EXPECT_EQ(ticks, plain->perf().ticksExecuted);
+    EXPECT_EQ(split.samples, ticks / 64);
+    EXPECT_EQ(split.laps[TickTimes::Dram], split.samples);
+    EXPECT_EQ(split.laps[TickTimes::Core], 2 * split.samples);
+    EXPECT_EQ(split.laps[TickTimes::Egress], split.samples);
+    if (!timed->tickEveryCycle()) {  // IPCP_NO_SKIP never scans
+        EXPECT_GT(split.laps[TickTimes::Wakeup], 0u);
+    }
+    double total = 0.0;
+    for (unsigned p = 0; p < TickTimes::kParts; ++p)
+        total += split.share(static_cast<TickTimes::Part>(p));
+    EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
 TEST(System, MultiCoreSharesLlcAndDram)

@@ -89,8 +89,11 @@ usage()
         "                       IPCP_QUARANTINE_AFTER)\n"
         "  --strict             exit nonzero if any job fails (default:\n"
         "                       only when all fail; also IPCP_STRICT)\n"
-        "  --perf               print per-job wall time, KIPS, and the\n"
-        "                       event-skipping tick/skip split (stderr)\n"
+        "  --perf               print per-job wall time, KIPS, the\n"
+        "                       event-skipping tick/skip split, and\n"
+        "                       each component kind's share of\n"
+        "                       executed-tick time, sampled on one\n"
+        "                       tick in 64 (stderr)\n"
         "  --list-traces        list every named workload\n";
 }
 
@@ -123,15 +126,16 @@ printCacheReport(const char *name, const CacheStats &s,
 }
 
 /**
- * The --perf line: host wall time, simulated-KIPS, and how much of the
- * simulated time the event-skipping loop actually ticked. Goes to
+ * The --perf lines: host wall time, simulated-KIPS, and how much of
+ * the simulated time the event-skipping loop actually ticked; then
+ * where the executed ticks' time went, by component kind. Goes to
  * stderr like all throughput reporting, so stdout stays bit-identical
  * run to run.
  */
 void
 printPerfReport(const std::string &label, double seconds,
                 std::uint64_t instrs, std::uint64_t ticks,
-                std::uint64_t skipped)
+                std::uint64_t skipped, const TickTimes &split)
 {
     const std::uint64_t cycles = ticks + skipped;
     std::cerr << "[perf] " << label << ": wall "
@@ -145,6 +149,18 @@ printPerfReport(const std::string &label, double seconds,
                                        static_cast<double>(cycles),
                      3)
               << ")\n";
+    std::cerr << "[perf] " << label << ": tick time";
+    if (split.samples == 0) {
+        std::cerr << " not sampled (no tick timed in this process)\n";
+        return;
+    }
+    for (unsigned p = 0; p < TickTimes::kParts; ++p)
+        std::cerr << " " << TickTimes::kNames[p] << " "
+                  << TablePrinter::num(
+                         100.0 * split.share(static_cast<TickTimes::Part>(p)),
+                         1)
+                  << "%";
+    std::cerr << " (" << split.samples << " ticks sampled)\n";
 }
 
 } // namespace
@@ -387,6 +403,9 @@ main(int argc, char **argv)
                     sys.setCheckpointEvery(cfg.ckptEvery, cfg.ckptPath);
                 if (!trace_events.empty())
                     sys.enableTracing(cfg.traceCapacity);
+                TickTimes split;
+                if (perf)
+                    sys.timeTicks(&split);
                 banner(name);
                 WallTimer timer;
                 const RunResult r =
@@ -397,7 +416,7 @@ main(int argc, char **argv)
                         instrs += r.cores[c].instructions;
                     printPerfReport(name, timer.seconds(), instrs,
                                     sys.perf().ticksExecuted,
-                                    sys.perf().skippedCycles);
+                                    sys.perf().skippedCycles, split);
                 }
                 for (unsigned c = 0; c < cores; ++c) {
                     std::cout << "core " << c << ": IPC "
@@ -439,15 +458,27 @@ main(int argc, char **argv)
 
         const TraceSpec &spec = findTrace(trace_name);
         Runner runner;
-        auto attach_for = [](const std::string &name) -> AttachFn {
-            return [name](System &s) { applyCombo(s, name); };
+        // --perf: each job's tick split, reset by every attempt.
+        std::vector<TickTimes> splits(combo_names.size());
+        auto attach_for = [&](const std::string &name,
+                              std::size_t j) -> AttachFn {
+            TickTimes *split = perf ? &splits[j] : nullptr;
+            return [name, split](System &s) {
+                applyCombo(s, name);
+                if (split != nullptr) {
+                    *split = TickTimes{};
+                    s.timeTicks(split);
+                }
+            };
         };
 
         if (cores == 1) {
             std::vector<Job> jobs;
-            for (const std::string &name : combo_names)
+            for (std::size_t j = 0; j < combo_names.size(); ++j) {
+                const std::string &name = combo_names[j];
                 jobs.push_back(
-                    Job{spec, name, attach_for(name), cfg_for(name)});
+                    Job{spec, name, attach_for(name, j), cfg_for(name)});
+            }
             const std::vector<JobOutcome> outs = runner.run(jobs);
             for (std::size_t j = 0; j < jobs.size(); ++j) {
                 const JobOutcome &jo = outs[j];
@@ -467,7 +498,7 @@ main(int argc, char **argv)
                     printPerfReport(jobs[j].label,
                                     runner.lastBatch().perJob[j].seconds,
                                     o.instructions, o.ticksExecuted,
-                                    o.skippedCycles);
+                                    o.skippedCycles, splits[j]);
                 banner(jobs[j].label);
                 std::cout << "core 0: IPC " << TablePrinter::num(o.ipc)
                           << " (" << o.instructions << " instructions, "
@@ -479,9 +510,11 @@ main(int argc, char **argv)
         } else {
             const std::vector<TraceSpec> specs(cores, spec);
             std::vector<MixJob> jobs;
-            for (const std::string &name : combo_names)
-                jobs.push_back(MixJob{specs, name, attach_for(name),
+            for (std::size_t j = 0; j < combo_names.size(); ++j) {
+                const std::string &name = combo_names[j];
+                jobs.push_back(MixJob{specs, name, attach_for(name, j),
                                       cfg_for(name)});
+            }
             const std::vector<MixJobOutcome> outs =
                 runner.runMixes(jobs);
             for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -505,7 +538,7 @@ main(int argc, char **argv)
                     printPerfReport(jobs[j].label,
                                     runner.lastBatch().perJob[j].seconds,
                                     instrs, o.system.ticksExecuted,
-                                    o.system.skippedCycles);
+                                    o.system.skippedCycles, splits[j]);
                 }
                 banner(jobs[j].label);
                 for (unsigned c = 0; c < cores; ++c) {

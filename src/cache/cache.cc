@@ -426,6 +426,8 @@ Cache::installLine(const MemRequest &req, bool was_prefetch,
 void
 Cache::onResponse(const MemRequest &req)
 {
+    if (freezeGroup_ != nullptr)
+        freezeGroup_->thaw();
     const std::uint32_t slot = findMshr(req.line);
     if (slot == MshrIndex::kNone)
         return;  // stray response (only possible after stats reset)

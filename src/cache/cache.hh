@@ -345,6 +345,35 @@ class Cache : public ReqSink, public RespTarget, public Clocked,
      */
     void flushEgress();
 
+    // --- freeze groups (multi-core sparse ticking) ---------------------
+
+    /**
+     * Thaw `group` before every response delivered to this cache. The
+     * System sets it on each private L2 of a multi-core machine: the
+     * LLC's response is the only way into a core's cluster from
+     * outside (DESIGN.md §5c).
+     */
+    void setFreezeGroup(Freezable *group) { freezeGroup_ = group; }
+
+    /**
+     * A prefetch head (own or incoming) was refused at this cache's
+     * last tick. Its retry may be waiting on lower-level queue space,
+     * an event that never arrives as a response, so the System never
+     * freezes a cluster whose L2 reports this.
+     */
+    bool
+    prefetchHeadBlocked() const
+    {
+        return pqHeadBlocked_ || ipqHeadBlocked_;
+    }
+
+    /** Writebacks or MSHR sends still owed to the lower level. */
+    bool
+    egressPending() const
+    {
+        return unsentMshrs_ > 0 || !outbound_.empty();
+    }
+
     /** Number of in-flight MSHRs (for tests). */
     std::size_t mshrsInUse() const { return mshrs_.size(); }
 
@@ -482,6 +511,7 @@ class Cache : public ReqSink, public RespTarget, public Clocked,
     std::unique_ptr<Prefetcher> prefetcher_;
 
     ReqSink *lower_ = nullptr;
+    Freezable *freezeGroup_ = nullptr;  //!< setFreezeGroup, or none
     std::function<Addr(Addr)> translator_;
     std::function<std::uint64_t()> instrSource_;
 

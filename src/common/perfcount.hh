@@ -31,6 +31,13 @@ struct PerfCounters
 {
     std::uint64_t ticksExecuted = 0;
     std::uint64_t skippedCycles = 0;
+    /**
+     * Per-core cluster ticks that ran and that were left frozen on
+     * executed ticks (multi-core only, DESIGN.md §5c). Not
+     * checkpointed: a resumed run counts from its resume point.
+     */
+    std::uint64_t clusterTicks = 0;
+    std::uint64_t clustersFrozen = 0;
 
     std::uint64_t cyclesSimulated() const
     {
@@ -51,8 +58,8 @@ struct PerfCounters
     void reset() { *this = PerfCounters{}; }
 
     /**
-     * Checkpointed so a resumed run reports totals over the whole
-     * logical run, not just the post-resume slice. Host-side only:
+     * The tick and skip counts are checkpointed so a resumed run
+     * reports them over the whole logical run. Host-side only:
      * excluded from resume-equivalence comparisons.
      */
     template <typename IO>
@@ -68,10 +75,13 @@ struct PerfCounters
  * Where executed-tick time goes, by component kind (`ipcp_sim
  * --perf`). System::timeTicks samples one executed tick in 64 with
  * steady_clock, adding each part's host nanoseconds here; `Wakeup`
- * is the next-wakeup scan plus the skip that follows the sampled
- * tick. A clock read costs about as much as a component's tick, so
- * every lap is charged net of one read (`clockNs`). Host-side only:
- * never serialized and never in stats JSON.
+ * is the next-wakeup scan (on several cores, with the recompute of
+ * each ticked cluster's wakeup) plus the skip that follows the
+ * sampled tick. A frozen cluster is not timed: it adds to `frozen`
+ * instead of to the L2, L1D, L1I and core laps. A clock read costs
+ * about as much as a component's tick, so every lap is charged net
+ * of one read (`clockNs`). Host-side only: never serialized and
+ * never in stats JSON.
  */
 struct TickTimes
 {
@@ -95,6 +105,10 @@ struct TickTimes
     std::array<std::uint64_t, kParts> ns{};    //!< raw lap time
     std::array<std::uint64_t, kParts> laps{};  //!< laps timed
     std::uint64_t samples = 0;                 //!< executed ticks timed
+    std::uint64_t frozen = 0;  //!< cluster-samples frozen, not timed
+    /** Exact PerfCounters cluster counts, copied when run() returns. */
+    std::uint64_t clusterTicks = 0;
+    std::uint64_t clustersFrozen = 0;
     double clockNs = 0.0;  //!< one steady_clock read, charged per lap
 
     /** Charge one timed lap of `d` to `p`. */

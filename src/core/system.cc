@@ -97,17 +97,37 @@ System::System(SystemConfig cfg, std::vector<GeneratorPtr> workloads)
         env != nullptr && env[0] != '\0' &&
         !(env[0] == '0' && env[1] == '\0'))
         skipProfile_ = true;
+
+    // Multi-core skipping ticks only the clusters with work due
+    // (DESIGN.md §5c). The skip profile keeps the full member scan to
+    // attribute the (identical) global wakeup by component kind.
+    if (n > 1 && !noSkip_ && !skipProfile_) {
+        clusters_.resize(n);
+        for (unsigned c = 0; c < n; ++c) {
+            clusters_[c].sys = this;
+            clusters_[c].core = c;
+            l2s_[c]->setFreezeGroup(&clusters_[c]);
+        }
+    }
 }
 
+void
+System::Cluster::thaw()
+{
+    sys->catchUp(*this);
+    wakeAt = sys->cycle_;
+}
+
+template <bool Sparse>
 void
 System::tickAll(Cycle cycle)
 {
     ++perf_.ticksExecuted;
     timedPass_ = tickTimes_ != nullptr && (perf_.ticksExecuted & 63) == 0;
     if (timedPass_) [[unlikely]]
-        tickParts<true>(cycle);
+        tickParts<true, Sparse>(cycle);
     else
-        tickParts<false>(cycle);
+        tickParts<false, Sparse>(cycle);
 }
 
 void
@@ -118,7 +138,7 @@ System::timeTicks(TickTimes *sink)
         sink->clockNs = TickTimes::measureClockNs();
 }
 
-template <bool Timed>
+template <bool Timed, bool Sparse>
 void
 System::tickParts(Cycle cycle)
 {
@@ -146,6 +166,21 @@ System::tickParts(Cycle cycle)
     lap(TickTimes::Llc);
     const unsigned n = numCores();
     for (unsigned c = 0; c < n; ++c) {
+        if constexpr (Sparse) {
+            // Nothing due and nothing waiting on LLC queue space: the
+            // cluster's tick would change nothing but the per-cycle
+            // stats that catchUp reconciles later (DESIGN.md §5c).
+            Cluster &k = clusters_[c];
+            if (k.wakeAt > cycle && !l2s_[c]->prefetchHeadBlocked()) {
+                ++perf_.clustersFrozen;
+                if constexpr (Timed)
+                    ++tickTimes_->frozen;
+                continue;
+            }
+            catchUp(k);
+            k.clock = cycle;
+            ++perf_.clusterTicks;
+        }
         l2s_[c]->tick(cycle);
         lap(TickTimes::L2);
         l1ds_[c]->tick(cycle);
@@ -162,11 +197,85 @@ System::tickParts(Cycle cycle)
             l2->flushEgress();
         lap(TickTimes::Egress);
     }
+    if constexpr (Sparse) {
+        // After the flush, which may still change a ticked L2 (and
+        // its L1s); no later part of the cycle touches a cluster.
+        for (Cluster &k : clusters_) {
+            if (k.clock == cycle)
+                k.wakeAt = clusterWakeup(k.core, cycle);
+        }
+        lap(TickTimes::Wakeup);
+    }
 }
 
 Cycle
+System::clusterWakeup(unsigned c, Cycle now) const
+{
+    Cycle wake = cores_[c]->nextWakeup(now);
+    if (wake <= now + 1)
+        return wake;
+    wake = std::min(wake, l1ds_[c]->nextWakeup(now));
+    if (wake <= now + 1)
+        return wake;
+    wake = std::min(wake, l1is_[c]->nextWakeup(now));
+    if (wake <= now + 1)
+        return wake;
+    return std::min(wake, l2s_[c]->nextWakeup(now));
+}
+
+void
+System::catchUp(Cluster &k)
+{
+    if (k.clock + 1 >= cycle_)
+        return;
+    const Cycle to = cycle_ - 1;
+    const Cycle skipped = to - k.clock;
+    Clocked *const members[] = {l2s_[k.core].get(), l1ds_[k.core].get(),
+                                l1is_[k.core].get(),
+                                cores_[k.core].get()};
+    for (Clocked *m : members) {
+        // As in skipTo: reconcile from the pre-sync clock, then sync.
+        m->skipCycles(skipped);
+        m->syncCycle(to);
+    }
+    k.clock = to;
+}
+
+void
+System::thawAll()
+{
+    for (Cluster &k : clusters_)
+        catchUp(k);
+}
+
+unsigned
+System::frozenClusters() const
+{
+    unsigned frozen = 0;
+    for (const Cluster &k : clusters_) {
+        if (k.wakeAt > cycle_ && !l2s_[k.core]->prefetchHeadBlocked())
+            ++frozen;
+    }
+    return frozen;
+}
+
+template <bool Sparse>
+Cycle
 System::nextWakeupAll(Cycle now) const
 {
+    if constexpr (Sparse) {
+        // A ticked cluster's wakeup was stored after this tick; a
+        // frozen one's still holds, since nothing reached it.
+        Cycle wake = kNeverWakeup;
+        for (const Cluster &k : clusters_)
+            wake = std::min(wake, k.wakeAt);
+        if (wake <= now + 1)
+            return wake;
+        wake = std::min(wake, llc_->nextWakeup(now));
+        if (wake <= now + 1)
+            return wake;
+        return std::min(wake, dram_->nextWakeup(now));
+    }
     if (skipProfile_)
         return nextWakeupProfiled(now);
     Cycle wake = kNeverWakeup;
@@ -242,11 +351,15 @@ System::nextWakeupProfiled(Cycle now) const
     return wake;
 }
 
+template <bool Sparse>
 void
 System::skipTo(Cycle target)
 {
     const Cycle skipped = target - cycle_;
-    for (Clocked *c : clocked_) {
+    // clocked_ holds DRAM and the LLC first, then the clusters.
+    const std::size_t count = Sparse ? 2 : clocked_.size();
+    for (std::size_t i = 0; i < count; ++i) {
+        Clocked *c = clocked_[i];
         // skipCycles first: reconciliation reads the pre-sync `now`.
         c->skipCycles(skipped);
         // Sync to target - 1, the value `now` would hold after a tick
@@ -321,8 +434,6 @@ System::enableTracing(std::size_t capacity)
 RunResult
 System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
 {
-    const unsigned n = numCores();
-
     if (rs_.phase == Phase::Idle) {
         rs_.phase = Phase::Warmup;
         rs_.warmupInstrs = warmup_instrs;
@@ -342,6 +453,23 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
             Errc::corrupt,
             "resumed run targets differ from the checkpointed ones"));
     }
+
+    RunResult result = clusters_.empty() ? runPhases<false>(sim_instrs)
+                                         : runPhases<true>(sim_instrs);
+    thawAll();
+    if (tickTimes_ != nullptr) {
+        tickTimes_->clusterTicks = perf_.clusterTicks;
+        tickTimes_->clustersFrozen = perf_.clustersFrozen;
+    }
+    bumpProgressEpoch();
+    return result;
+}
+
+template <bool Sparse>
+RunResult
+System::runPhases(std::uint64_t sim_instrs)
+{
+    const unsigned n = numCores();
 
     auto all_reached = [&](std::uint64_t target) {
         for (unsigned c = 0; c < n; ++c) {
@@ -411,13 +539,13 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
      * per-cycle ticking.
      */
     auto jump = [&](bool clamp_to_check) {
-        Cycle wake = nextWakeupAll(cycle_ - 1);
+        Cycle wake = nextWakeupAll<Sparse>(cycle_ - 1);
         if (clamp_to_check)
             wake = std::min(wake, (((cycle_ >> 8) + 1) << 8) - 1);
         if (wake <= cycle_)
             return;
         watchdog_over_skip(wake);
-        skipTo(wake);
+        skipTo<Sparse>(wake);
     };
     auto advance = [&](bool clamp_to_check) {
         if (!timedPass_) [[likely]] {
@@ -435,7 +563,7 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
     // forwarded this system to the WarmupDone boundary (§5h).
     if (rs_.phase == Phase::Warmup) {
         while (!all_reached(rs_.warmupInstrs)) {
-            tickAll(cycle_);
+            tickAll<Sparse>(cycle_);
             ++cycle_;
             bumpEpoch();
             if ((cycle_ & 0xFFFF) == 0)
@@ -447,6 +575,9 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
             maybeCheckpoint();
         }
         rs_.phase = Phase::WarmupDone;
+        // Thawed for the hook and the stats reset below; a loaded
+        // warm state arrives thawed.
+        thawAll();
         // The publish point: everything below (stats reset, targets,
         // completion flags) is re-derived identically by any run that
         // loads the state captured here.
@@ -474,7 +605,7 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
     // the paper's replay methodology.
     if (rs_.phase == Phase::Measured) {
         while (rs_.remaining > 0) {
-            tickAll(cycle_);
+            tickAll<Sparse>(cycle_);
             ++cycle_;
             if ((cycle_ & 0xFF) == 0 || n == 1) {
                 for (unsigned c = 0; c < n; ++c) {
@@ -518,7 +649,6 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
         rs_.result.measuredCycles = cycle_ - rs_.measureStart;
         rs_.phase = Phase::Done;
     }
-    bumpProgressEpoch();
     return rs_.result;
 }
 
@@ -619,6 +749,8 @@ System::configHash() const
 void
 System::serialize(StateIO &io)
 {
+    if (!io.reading())
+        thawAll();
     // Identical registration order on save and load resolves every
     // MemRequest::requester index to the equivalent object.
     io.registerTarget(llc_.get());
@@ -647,6 +779,14 @@ System::serialize(StateIO &io)
         l1ds_[c]->serialize(io);
         l1is_[c]->serialize(io);
         cores_[c]->serialize(io);
+    }
+    if (io.reading()) {
+        // Every member's clock reads cycle_ - 1 in a saved machine;
+        // the stored wakeups are derived state, recomputed.
+        for (Cluster &k : clusters_) {
+            k.clock = cycle_ > 0 ? cycle_ - 1 : 0;
+            k.wakeAt = cycle_ > 0 ? clusterWakeup(k.core, cycle_ - 1) : 0;
+        }
     }
 }
 
@@ -734,6 +874,22 @@ System::audit(bool deep) const
         l1ds_[c]->audit(deep);
         l1is_[c]->audit(deep);
         cores_[c]->audit();
+    }
+    if (cycle_ == 0)
+        return;  // nothing ticked yet: every stored wakeup reads 0
+    for (const Cluster &k : clusters_) {
+        auto fail = [&k](const std::string &why) {
+            throw ErrorException(makeError(
+                Errc::corrupt,
+                "core " + std::to_string(k.core) + " cluster: " + why));
+        };
+        if (k.wakeAt != clusterWakeup(k.core, cycle_ - 1))
+            fail("stored wakeup differs from a fresh recompute");
+        if (k.wakeAt > cycle_ && !l2s_[k.core]->prefetchHeadBlocked() &&
+            (l2s_[k.core]->egressPending() ||
+             l1ds_[k.core]->egressPending() ||
+             l1is_[k.core]->egressPending()))
+            fail("frozen with writebacks or MSHR sends still owed");
     }
 }
 

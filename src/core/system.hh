@@ -123,6 +123,10 @@ class System
   public:
     System(SystemConfig cfg, std::vector<GeneratorPtr> workloads);
 
+    // The caches hold pointers back into the System (freeze groups).
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
+
     unsigned numCores() const
     {
         return static_cast<unsigned>(cores_.size());
@@ -157,6 +161,13 @@ class System
 
     /** True when the event-skipping loop is disabled for this system. */
     bool tickEveryCycle() const { return noSkip_; }
+
+    /**
+     * Per-core clusters the next tick leaves frozen: their stored
+     * wakeup lies beyond it and their L2 has no blocked prefetch head
+     * (DESIGN.md §5c). Always 0 for one core and without skipping.
+     */
+    unsigned frozenClusters() const;
 
     /** Current simulated cycle. */
     Cycle cycle() const { return cycle_; }
@@ -296,7 +307,9 @@ class System
      * Validate runtime invariants across every component; throws
      * ErrorException (Errc::corrupt) on the first violation. The
      * shallow pass (deep = false) is cheap enough for per-tick use;
-     * deep adds full tag-array and predictor-table scans.
+     * deep adds full tag-array and predictor-table scans. Both check
+     * every per-core cluster's stored wakeup against a fresh
+     * recompute, and that a frozen cluster owes no egress.
      */
     void audit(bool deep) const;
 
@@ -345,11 +358,49 @@ class System
         }
     };
 
+    /**
+     * One core's private hierarchy (L2 → L1D → L1I → core) as a freeze
+     * unit of the multi-core skip loop (DESIGN.md §5c). A cluster
+     * whose stored wakeup lies beyond the current cycle is not ticked
+     * and its members' clocks are left behind; catchUp() reconciles
+     * the skipped cycles in one step. Its L2 calls thaw() before a
+     * response from the LLC enters it.
+     */
+    struct Cluster final : Freezable
+    {
+        System *sys = nullptr;
+        unsigned core = 0;
+        Cycle wakeAt = 0;  //!< the members' minimum nextWakeup
+        Cycle clock = 0;   //!< the cycle the members' clocks read
+
+        void thaw() override;
+    };
+
+    /**
+     * run() after its target checks. `Sparse` (several cores, skipping
+     * on) ticks only the clusters with work due; it is its own
+     * instantiation so the one-core loop gains no branch.
+     */
+    template <bool Sparse>
+    RunResult runPhases(std::uint64_t sim_instrs);
+
+    template <bool Sparse>
     void tickAll(Cycle cycle);
 
     /** tickAll's body; `Timed` laps each part into tickTimes_. */
-    template <bool Timed>
+    template <bool Timed, bool Sparse>
     void tickParts(Cycle cycle);
+
+    /** Minimum nextWakeup over cluster `c`'s members after `now`. */
+    Cycle clusterWakeup(unsigned c, Cycle now) const;
+
+    /** Bring a lagging cluster's members to cycle_ - 1: reconcile the
+     *  cycles they were frozen for and sync their clocks. */
+    void catchUp(Cluster &k);
+
+    /** catchUp every cluster: before the whole machine is read or
+     *  written (stats reset, warmup hook, serialize, run() return). */
+    void thawAll();
 
     void resetAllStats();
 
@@ -359,8 +410,10 @@ class System
     /**
      * Minimum nextWakeup over every component, evaluated after the
      * tick at `now` (cores first — they are the most likely to report
-     * now + 1, which short-circuits the scan).
+     * now + 1, which short-circuits the scan). `Sparse` takes the
+     * clusters' stored wakeups instead of scanning their members.
      */
+    template <bool Sparse>
     Cycle nextWakeupAll(Cycle now) const;
 
     /**
@@ -389,7 +442,10 @@ class System
      * component's per-cycle-sampled stats for the skipped span and
      * sync their `now` to target - 1, so the next tickAll(target)
      * behaves exactly as if cycles cycle_..target-1 had been ticked.
+     * `Sparse` touches only the LLC and DRAM; the clusters catch up
+     * when they next tick or thaw.
      */
+    template <bool Sparse>
     void skipTo(Cycle target);
 
     SystemConfig config_;
@@ -406,6 +462,9 @@ class System
     bool noSkip_ = false;
     bool auditTick_ = false;
     bool deferEgress_ = false;  //!< multi-core: L2→LLC egress end-of-cycle
+    /** One per core when the multi-core skip loop freezes clusters;
+     *  empty for one core and without skipping. */
+    std::vector<Cluster> clusters_;
 
     /**
      * Skip-bound attribution (IPCP_SKIP_PROFILE=1): how often each

@@ -78,6 +78,20 @@ class RespTarget
     virtual void onResponse(const MemRequest &req) = 0;
 };
 
+/**
+ * A group of components the System may leave unticked while none of
+ * them has work due (a frozen per-core cluster, DESIGN.md §5c).
+ * thaw() brings the group's clocks and per-cycle statistics up to
+ * the current cycle and makes it tick this cycle; the group's entry
+ * point calls it before an external response enters the group.
+ */
+class Freezable
+{
+  public:
+    virtual ~Freezable() = default;
+    virtual void thaw() = 0;
+};
+
 /** Wakeup value meaning "no self-scheduled activity, ever". */
 inline constexpr Cycle kNeverWakeup = ~Cycle{0};
 

@@ -92,6 +92,19 @@ spin(Dram &d, Cycle &clock, Cycle cycles)
         d.tick(clock++);
 }
 
+/**
+ * Run the DRAM until `t` holds `count` responses; false if 100k ticks
+ * pass first, so a stranded request fails fast instead of hanging.
+ */
+bool
+spinUntil(Dram &d, Cycle &clock, const CaptureTarget &t,
+          std::size_t count)
+{
+    for (Cycle i = 0; i < 100'000 && t.responses.size() < count; ++i)
+        d.tick(clock++);
+    return t.responses.size() >= count;
+}
+
 MemRequest
 readReq(LineAddr line, RespTarget *t)
 {
@@ -148,16 +161,14 @@ TEST(Dram, RowHitFasterThanRowMiss)
     // Same row: hit.
     const Cycle start_hit = clock;
     d.acceptRequest(readReq(1, &t));
-    while (t.responses.empty())
-        d.tick(clock++);
+    ASSERT_TRUE(spinUntil(d, clock, t, 1)) << "row-hit read stranded";
     const Cycle hit_lat = clock - start_hit;
     t.responses.clear();
 
     // Far line: different row of the same bank layout -> miss.
     const Cycle start_miss = clock;
     d.acceptRequest(readReq(1 << 20, &t));
-    while (t.responses.empty())
-        d.tick(clock++);
+    ASSERT_TRUE(spinUntil(d, clock, t, 1)) << "row-miss read stranded";
     const Cycle miss_lat = clock - start_miss;
 
     EXPECT_LT(hit_lat, miss_lat);
@@ -174,13 +185,14 @@ TEST(Dram, BandwidthBoundStreaming)
     // Issue 32 sequential reads; they should complete at roughly one
     // per busCyclesPerLine once the pipe fills.
     unsigned accepted = 0;
-    while (accepted < 32) {
+    for (Cycle i = 0; i < 100'000 && accepted < 32; ++i) {
         if (d.acceptRequest(readReq(accepted, &t)))
             ++accepted;
         d.tick(clock++);
     }
-    while (t.responses.size() < 32)
-        d.tick(clock++);
+    ASSERT_EQ(accepted, 32u) << "the queue stopped draining";
+    ASSERT_TRUE(spinUntil(d, clock, t, 32))
+        << t.responses.size() << " of 32 reads served";
     // 32 lines cannot finish faster than 32 transfers.
     EXPECT_GE(clock, 32 * cfg.busCyclesPerLine);
     // ... and the pipeline should make it far faster than serial
@@ -225,8 +237,8 @@ TEST(Dram, ChannelsShareLoad)
     Cycle clock = 0;
     for (unsigned i = 0; i < 16; ++i)
         ASSERT_TRUE(d.acceptRequest(readReq(i, &t)));
-    while (t.responses.size() < 16)
-        d.tick(clock++);
+    ASSERT_TRUE(spinUntil(d, clock, t, 16))
+        << t.responses.size() << " of 16 reads served";
     // Two channels should be roughly twice as fast as the bus of one.
     EXPECT_LT(clock, 16 * cfg.busCyclesPerLine + 400);
     EXPECT_EQ(d.stats().reads, 16u);

@@ -122,7 +122,12 @@ TEST(System, TickTimingLeavesSimulationUnchanged)
     EXPECT_EQ(ticks, plain->perf().ticksExecuted);
     EXPECT_EQ(split.samples, ticks / 64);
     EXPECT_EQ(split.laps[TickTimes::Dram], split.samples);
-    EXPECT_EQ(split.laps[TickTimes::Core], 2 * split.samples);
+    // Each sampled tick either ticks or freezes each core's cluster.
+    EXPECT_EQ(split.laps[TickTimes::Core] + split.frozen,
+              2 * split.samples);
+    EXPECT_EQ(split.laps[TickTimes::L2], split.laps[TickTimes::Core]);
+    EXPECT_EQ(split.clusterTicks, timed->perf().clusterTicks);
+    EXPECT_EQ(split.clustersFrozen, timed->perf().clustersFrozen);
     EXPECT_EQ(split.laps[TickTimes::Egress], split.samples);
     if (!timed->tickEveryCycle()) {  // IPCP_NO_SKIP never scans
         EXPECT_GT(split.laps[TickTimes::Wakeup], 0u);

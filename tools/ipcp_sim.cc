@@ -90,10 +90,11 @@ usage()
         "  --strict             exit nonzero if any job fails (default:\n"
         "                       only when all fail; also IPCP_STRICT)\n"
         "  --perf               print per-job wall time, KIPS, the\n"
-        "                       event-skipping tick/skip split, and\n"
-        "                       each component kind's share of\n"
-        "                       executed-tick time, sampled on one\n"
-        "                       tick in 64 (stderr)\n"
+        "                       event-skipping tick/skip split, each\n"
+        "                       component kind's share of executed-\n"
+        "                       tick time, sampled on one tick in 64,\n"
+        "                       and with several cores how many\n"
+        "                       cluster ticks ran or froze (stderr)\n"
         "  --list-traces        list every named workload\n";
 }
 
@@ -128,9 +129,10 @@ printCacheReport(const char *name, const CacheStats &s,
 /**
  * The --perf lines: host wall time, simulated-KIPS, and how much of
  * the simulated time the event-skipping loop actually ticked; then
- * where the executed ticks' time went, by component kind. Goes to
- * stderr like all throughput reporting, so stdout stays bit-identical
- * run to run.
+ * where the executed ticks' time went, by component kind; then, on a
+ * multi-core machine, how many per-core cluster ticks ran and how
+ * many were frozen. Goes to stderr like all throughput reporting, so
+ * stdout stays bit-identical run to run.
  */
 void
 printPerfReport(const std::string &label, double seconds,
@@ -152,15 +154,28 @@ printPerfReport(const std::string &label, double seconds,
     std::cerr << "[perf] " << label << ": tick time";
     if (split.samples == 0) {
         std::cerr << " not sampled (no tick timed in this process)\n";
-        return;
+    } else {
+        for (unsigned p = 0; p < TickTimes::kParts; ++p)
+            std::cerr << " " << TickTimes::kNames[p] << " "
+                      << TablePrinter::num(
+                             100.0 * split.share(
+                                         static_cast<TickTimes::Part>(p)),
+                             1)
+                      << "%";
+        std::cerr << " (" << split.samples << " ticks sampled)\n";
     }
-    for (unsigned p = 0; p < TickTimes::kParts; ++p)
-        std::cerr << " " << TickTimes::kNames[p] << " "
-                  << TablePrinter::num(
-                         100.0 * split.share(static_cast<TickTimes::Part>(p)),
-                         1)
-                  << "%";
-    std::cerr << " (" << split.samples << " ticks sampled)\n";
+    const std::uint64_t slots = split.clusterTicks + split.clustersFrozen;
+    if (slots == 0)
+        return;
+    std::cerr << "[perf] " << label << ": cluster ticks "
+              << split.clusterTicks << " ran, " << split.clustersFrozen
+              << " frozen ("
+              << TablePrinter::num(100.0 *
+                                       static_cast<double>(
+                                           split.clustersFrozen) /
+                                       static_cast<double>(slots),
+                                   1)
+              << "% frozen)\n";
 }
 
 } // namespace

@@ -148,8 +148,6 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
                 std::uint64_t resumes = 0;
                 std::uint64_t warm_hits = 0;
                 std::uint64_t warm_misses = 0;
-                std::uint64_t pool_hits = 0;
-                std::uint64_t pool_misses = 0;
                 std::uint64_t degraded = 0;
                 std::uint64_t evicted = 0;
                 const std::vector<std::string> lines =
@@ -187,12 +185,6 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
                         else if (line.find("warm=miss") !=
                                  std::string::npos)
                             ++warm_misses;
-                        if (line.find("pool=hit") !=
-                            std::string::npos)
-                            ++pool_hits;
-                        else if (line.find("pool=miss") !=
-                                 std::string::npos)
-                            ++pool_misses;
                     }
                 }
                 switch (state) {
@@ -207,8 +199,6 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
                 totals.resumed += resumes;
                 totals.warmHits += warm_hits;
                 totals.warmMisses += warm_misses;
-                totals.poolHits += pool_hits;
-                totals.poolMisses += pool_misses;
 
                 json.beginObject();
                 json.key("trace");
@@ -227,8 +217,6 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
                 json.value(resumes);
                 json.key("warm_hits");
                 json.value(warm_hits);
-                json.key("pool_hits");
-                json.value(pool_hits);
                 json.key("degraded_writes");
                 json.value(degraded);
                 json.key("gc_evicted");
@@ -265,10 +253,6 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
             json.value(totals.warmHits);
             json.key("warm_misses");
             json.value(totals.warmMisses);
-            json.key("pool_hits");
-            json.value(totals.poolHits);
-            json.key("pool_misses");
-            json.value(totals.poolMisses);
             json.key("degraded_store_writes");
             json.value(totals.degradedStore);
             json.key("degraded_warm_writes");

@@ -38,8 +38,6 @@ struct CampaignTotals
     std::uint64_t resumed = 0;     //!< runs continued from checkpoint
     std::uint64_t warmHits = 0;    //!< runs fast-forwarded past warmup
     std::uint64_t warmMisses = 0;  //!< runs that simulated warmup
-    std::uint64_t poolHits = 0;    //!< runs served a pooled trace image
-    std::uint64_t poolMisses = 0;  //!< runs that decoded a trace file
     // Degraded publishes (writes downgraded to pass-through, §5i) and
     // disk-budget GC evictions, summed from per-job history lines.
     std::uint64_t degradedStore = 0;

@@ -188,9 +188,9 @@ materialize(const CampaignJob &job, const ExperimentConfig &cfg)
 {
     const std::string combo = job.combo;
     if (isFileTrace(job.trace)) {
-        // A captured trace file: replayed through the shared
-        // TracePool. A missing/corrupt file surfaces when the job
-        // body loads it, failing that job only.
+        // A captured trace file: decoded by the job body into its
+        // TraceFileGenerator. A missing/corrupt file surfaces then,
+        // failing that job only.
         return Job{fileTraceSpec(job.trace), combo,
                    [combo](System &s) { applyCombo(s, combo); }, cfg};
     }

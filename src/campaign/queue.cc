@@ -312,12 +312,10 @@ WorkQueue::recordResume(const std::string &hash,
 }
 
 void
-WorkQueue::recordCache(const std::string &hash, bool warm_hit,
-                       const std::string &pool) const
+WorkQueue::recordCache(const std::string &hash, bool warm_hit) const
 {
     appendHistory(hash, std::string("cache warm=") +
-                            (warm_hit ? "hit" : "miss") +
-                            " pool=" + pool);
+                            (warm_hit ? "hit" : "miss"));
 }
 
 void

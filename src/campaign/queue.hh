@@ -159,12 +159,10 @@ class WorkQueue
 
     /**
      * Append a cache-provenance note for an executed attempt:
-     * whether it fast-forwarded from the WarmStore and how the
-     * shared trace pool served it ("hit"/"miss"/"off"). Counted
-     * into summary.json's warm/pool totals.
+     * whether it fast-forwarded from the WarmStore. Counted into
+     * summary.json's warm totals.
      */
-    void recordCache(const std::string &hash, bool warm_hit,
-                     const std::string &pool) const;
+    void recordCache(const std::string &hash, bool warm_hit) const;
 
     /**
      * Append an attempt's degraded-publish counts (per-kind deltas

@@ -262,7 +262,6 @@ runSupervisor(const std::string &root, const SupervisorOptions &opts)
               << " reclaims=" << totals.value().reclaims
               << " resumes=" << totals.value().resumed
               << " warm-hits=" << totals.value().warmHits
-              << " pool-hits=" << totals.value().poolHits
               << " degraded-writes=" << totals.value().degradedTotal()
               << " gc-evicted=" << totals.value().gcEvicted << "\n";
 

@@ -18,7 +18,6 @@
 #include "harness/diskbudget.hh"
 #include "harness/runner.hh"
 #include "harness/warmstore.hh"
-#include "trace/tracepool.hh"
 
 namespace bouquet::campaign
 {
@@ -110,12 +109,9 @@ processItem(WorkQueue &queue, Runner &runner,
 
     queue.recordAttempt(item.hash, claim.reclaimed, claim.priorOwner);
 
-    // Trace-pool deltas around the run attribute pool effectiveness
-    // to this attempt (the worker runs one job at a time); degraded-
-    // publish and GC deltas likewise feed the per-job history.
-    TracePool &pool = TracePool::instance();
-    const std::uint64_t pool_hits = pool.hits();
-    const std::uint64_t pool_misses = pool.misses();
+    // Degraded-publish and GC deltas around the run attribute them
+    // to this attempt (the worker runs one job at a time) in the
+    // per-job history.
     std::uint64_t degraded_before[kDegradeKinds];
     for (std::size_t k = 0; k < kDegradeKinds; ++k)
         degraded_before[k] =
@@ -165,13 +161,9 @@ processItem(WorkQueue &queue, Runner &runner,
     if (out.ok) {
         if (out.resumed)
             queue.recordResume(item.hash, out.ckptCycle);
-        // Note how the shared caches treated the run, for
+        // Note how the warm-state cache treated the run, for
         // summary.json totals.
-        const std::string pool_note =
-            pool.hits() > pool_hits       ? "hit"
-            : pool.misses() > pool_misses ? "miss"
-                                          : "off";
-        queue.recordCache(item.hash, out.outcome.warmStart, pool_note);
+        queue.recordCache(item.hash, out.outcome.warmStart);
         // The done file is the outcome: once it lands the result is
         // durable. If it cannot land (or the job was reclaimed from
         // us mid-run), give the lease back for a later attempt.
@@ -283,9 +275,6 @@ runWorker(const std::string &root)
               << " miss=" << stat("campaign.warm.miss")
               << " publish=" << stat("campaign.warm.publish")
               << " heal=" << stat("campaign.warm.heal")
-              << " | pool hit=" << stat("campaign.tracepool.hit")
-              << " miss=" << stat("campaign.tracepool.miss")
-              << " evict=" << stat("campaign.tracepool.evict")
               << " | degraded store="
               << stat("ipcp.degraded.store.writes")
               << " warm=" << stat("ipcp.degraded.warm.writes")

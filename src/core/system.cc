@@ -93,15 +93,9 @@ System::System(SystemConfig cfg, std::vector<GeneratorPtr> workloads)
             l2->setDeferLower(true);
     }
 
-    if (const char *env = std::getenv("IPCP_SKIP_PROFILE");
-        env != nullptr && env[0] != '\0' &&
-        !(env[0] == '0' && env[1] == '\0'))
-        skipProfile_ = true;
-
     // Multi-core skipping ticks only the clusters with work due
-    // (DESIGN.md §5c). The skip profile keeps the full member scan to
-    // attribute the (identical) global wakeup by component kind.
-    if (n > 1 && !noSkip_ && !skipProfile_) {
+    // (DESIGN.md §5c).
+    if (n > 1 && !noSkip_) {
         clusters_.resize(n);
         for (unsigned c = 0; c < n; ++c) {
             clusters_[c].sys = this;
@@ -276,8 +270,6 @@ System::nextWakeupAll(Cycle now) const
             return wake;
         return std::min(wake, dram_->nextWakeup(now));
     }
-    if (skipProfile_)
-        return nextWakeupProfiled(now);
     Cycle wake = kNeverWakeup;
     for (const auto &core : cores_) {
         wake = std::min(wake, core->nextWakeup(now));
@@ -303,52 +295,6 @@ System::nextWakeupAll(Cycle now) const
     if (wake <= now + 1)
         return wake;
     return std::min(wake, dram_->nextWakeup(now));
-}
-
-Cycle
-System::nextWakeupProfiled(Cycle now) const
-{
-    // Same scan order and early-outs as the fast path (so the result
-    // is identical); additionally records which component kind bound
-    // the skip. Strictly-less-than keeps the first minimum in scan
-    // order, matching what the early-outs report.
-    Cycle wake = kNeverWakeup;
-    unsigned argmin = KindCore;
-
-    auto scan = [&](const auto &vec, unsigned kind) {
-        for (const auto &c : vec) {
-            const Cycle w = c->nextWakeup(now);
-            if (w < wake) {
-                wake = w;
-                argmin = kind;
-            }
-            if (wake <= now + 1)
-                return true;
-        }
-        return false;
-    };
-
-    const bool early = scan(cores_, KindCore) || scan(l1ds_, KindL1d) ||
-                       scan(l1is_, KindL1i) || scan(l2s_, KindL2);
-    if (!early) {
-        const Cycle wl = llc_->nextWakeup(now);
-        if (wl < wake) {
-            wake = wl;
-            argmin = KindLlc;
-        }
-        if (wake > now + 1) {
-            const Cycle wd = dram_->nextWakeup(now);
-            if (wd < wake) {
-                wake = wd;
-                argmin = KindDram;
-            }
-        }
-    }
-    // A wakeup beyond now + 1 means the skip happened; only a now + 1
-    // result blocked it, and argmin names the component demanding it.
-    if (wake <= now + 1)
-        ++blockedBy_[argmin];
-    return wake;
 }
 
 template <bool Sparse>
@@ -400,17 +346,6 @@ System::statRegistry()
     }
     llc_->registerStats(root.child("llc"));
     dram_->registerStats(root.child("dram"));
-    if (skipProfile_) {
-        // sim.skip.blocked_by.<kind>: which component kind supplied
-        // the binding wakeup. Registered only while IPCP_SKIP_PROFILE
-        // is set so the default stats JSON is unaffected.
-        StatGroup sk = root.child("skip").child("blocked_by");
-        static constexpr const char *kKindNames[KindCount] = {
-            "core", "l1d", "l1i", "l2", "llc", "dram"};
-        for (unsigned k = 0; k < KindCount; ++k)
-            sk.counter(kKindNames[k], blockedBy_[k]);
-        sk.onReset([this] { blockedBy_.fill(0); });
-    }
     return registry_;
 }
 

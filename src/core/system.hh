@@ -9,7 +9,6 @@
 #ifndef BOUQUET_CORE_SYSTEM_HH
 #define BOUQUET_CORE_SYSTEM_HH
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -417,27 +416,6 @@ class System
     Cycle nextWakeupAll(Cycle now) const;
 
     /**
-     * nextWakeupAll with per-component-kind attribution: counts which
-     * kind of component produced the binding (minimum) wakeup, into
-     * blockedBy_. Same scan order and early-outs as the fast path, so
-     * the returned cycle is identical; only used when the
-     * IPCP_SKIP_PROFILE environment variable enables profiling.
-     */
-    Cycle nextWakeupProfiled(Cycle now) const;
-
-    /** Component kinds for skip attribution (indexes blockedBy_). */
-    enum CompKind : unsigned
-    {
-        KindCore = 0,
-        KindL1d,
-        KindL1i,
-        KindL2,
-        KindLlc,
-        KindDram,
-        KindCount,
-    };
-
-    /**
      * Jump the clock to `target` without ticking: reconcile every
      * component's per-cycle-sampled stats for the skipped span and
      * sync their `now` to target - 1, so the next tickAll(target)
@@ -466,15 +444,6 @@ class System
      *  empty for one core and without skipping. */
     std::vector<Cluster> clusters_;
 
-    /**
-     * Skip-bound attribution (IPCP_SKIP_PROFILE=1): how often each
-     * component kind supplied the binding wakeup in nextWakeupAll.
-     * Host-side observation only — never serialized, and the stats
-     * are registered only while profiling so the default stats JSON
-     * is byte-identical with profiling off.
-     */
-    bool skipProfile_ = false;
-    mutable std::array<std::uint64_t, KindCount> blockedBy_{};
     PerfCounters perf_;
     TickTimes *tickTimes_ = nullptr;  //!< timeTicks sink, or off
     bool timedPass_ = false;          //!< this pass's tick was timed

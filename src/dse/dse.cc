@@ -342,10 +342,6 @@ writeSearchSummary(const std::string &path, const DseReport &report)
             w.value(t.warmHits);
             w.key("warm_misses");
             w.value(t.warmMisses);
-            w.key("pool_hits");
-            w.value(t.poolHits);
-            w.key("pool_misses");
-            w.value(t.poolMisses);
             w.endObject();
         }
         w.endArray();

@@ -15,7 +15,6 @@
 #include "common/statsink.hh"
 #include "harness/experiment.hh"
 #include "trace/suite.hh"
-#include "trace/tracepool.hh"
 
 namespace bouquet
 {
@@ -256,15 +255,6 @@ harnessCacheStats()
                       [] { return sumStores(&WarmStore::publishes); });
         r->addCounter("campaign.warm.heal",
                       [] { return sumStores(&WarmStore::heals); });
-        r->addCounter("campaign.tracepool.hit", [] {
-            return TracePool::instance().hits();
-        });
-        r->addCounter("campaign.tracepool.miss", [] {
-            return TracePool::instance().misses();
-        });
-        r->addCounter("campaign.tracepool.evict", [] {
-            return TracePool::instance().evictions();
-        });
         r->addCounter("ipcp.degraded.store.writes", [] {
             return degradedCount(DegradeKind::store);
         });

@@ -154,7 +154,6 @@ class StatRegistry;
  *   campaign.warm.{hit,miss,publish,heal}   summed over every
  *                                           WarmStore opened via
  *                                           warmStoreFor()
- *   campaign.tracepool.{hit,miss,evict}     the shared TracePool
  *   ipcp.degraded.{store,warm,ckpt,stats}.writes
  *                                           publishes downgraded to
  *                                           pass-through (disk full

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "trace/tracepool.hh"
+#include "trace/trace_io.hh"
 #include "trace/workloads.hh"
 
 namespace bouquet
@@ -313,12 +313,11 @@ makeWorkload(const TraceSpec &spec)
       case Archetype::File: {
         const std::string path =
             isFileTrace(spec.name) ? spec.name.substr(5) : spec.name;
-        Result<std::shared_ptr<const TraceImage>> image =
-            TracePool::instance().acquire(path);
-        if (!image.ok())
-            throw ErrorException(image.error());
-        return std::make_unique<PooledTraceGenerator>(spec.name,
-                                                      image.take());
+        Result<std::unique_ptr<TraceFileGenerator>> gen =
+            TraceFileGenerator::load(path, spec.name);
+        if (!gen.ok())
+            throw ErrorException(gen.error());
+        return gen.take();
       }
     }
     throw std::logic_error("unhandled archetype");
@@ -351,23 +350,6 @@ makeWorkload(const std::string &name)
     if (isFileTrace(name))
         return makeWorkload(fileTraceSpec(name));
     return makeWorkload(findTrace(name));
-}
-
-Result<GeneratorPtr>
-tryMakeWorkload(const std::string &name)
-{
-    if (isFileTrace(name)) {
-        try {
-            return makeWorkload(fileTraceSpec(name));
-        } catch (const ErrorException &e) {
-            return e.error();
-        }
-    }
-    const TraceSpec *spec = findTraceOrNull(name);
-    if (spec == nullptr)
-        return makeError(Errc::unknown_name,
-                         "unknown trace: " + name);
-    return makeWorkload(*spec);
 }
 
 } // namespace bouquet

@@ -67,9 +67,9 @@ const std::vector<TraceSpec> &neuralNetTraces();
 
 /**
  * True when `name` designates a captured trace file rather than a
- * suite stand-in: "file:<path>". File traces replay through the
- * shared TracePool and work anywhere a suite name does (runner jobs,
- * campaign manifests, ipcp_sim --trace).
+ * suite stand-in: "file:<path>". Each instantiation decodes the file
+ * into its own TraceFileGenerator. File traces work anywhere a suite
+ * name does (runner jobs, campaign manifests, ipcp_sim --trace).
  */
 bool isFileTrace(const std::string &name);
 
@@ -84,9 +84,6 @@ GeneratorPtr makeWorkload(const TraceSpec &spec);
  * Throws std::out_of_range for an unknown name.
  */
 GeneratorPtr makeWorkload(const std::string &name);
-
-/** Non-throwing makeWorkload: Errc::unknown_name for a bad name. */
-Result<GeneratorPtr> tryMakeWorkload(const std::string &name);
 
 /** Look up a spec by name across all suites (throws if unknown). */
 const TraceSpec &findTrace(const std::string &name);

@@ -7,6 +7,7 @@
 
 #include <sys/stat.h>
 
+#include "common/degrade.hh"
 #include "common/faultinject.hh"
 
 namespace bouquet
@@ -51,8 +52,10 @@ struct FileCloser
 
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+} // namespace
+
 Result<std::vector<TraceRecord>>
-readRecords(const std::string &path)
+readTraceRecords(const std::string &path)
 {
     if (auto fault = faultCheck(faults::kTraceRead, path))
         return *fault;
@@ -139,10 +142,9 @@ readRecords(const std::string &path)
     std::vector<TraceRecord> records(count);
     for (std::uint64_t i = 0; i < count; ++i)
         decode(raw.data() + i * kRecordBytes, records[i]);
+    bumpProgressEpoch();  // a decode is forward progress, not a stall
     return records;
 }
-
-} // namespace
 
 Status
 writeTrace(const std::string &path, WorkloadGenerator &gen,
@@ -171,46 +173,25 @@ writeTrace(const std::string &path, WorkloadGenerator &gen,
     return Status();
 }
 
-void
-writeTraceFile(const std::string &path, WorkloadGenerator &gen,
-               std::uint64_t count)
-{
-    if (Status s = writeTrace(path, gen, count); !s.ok())
-        throw ErrorException(s.error());
-}
-
-Result<std::vector<TraceRecord>>
-readTraceRecords(const std::string &path)
-{
-    return readRecords(path);
-}
-
 Result<std::unique_ptr<TraceFileGenerator>>
-TraceFileGenerator::load(const std::string &path)
+TraceFileGenerator::load(const std::string &path, std::string name)
 {
-    Result<std::vector<TraceRecord>> records = readRecords(path);
+    Result<std::vector<TraceRecord>> records = readTraceRecords(path);
     if (!records.ok())
         return records.error();
-    return std::unique_ptr<TraceFileGenerator>(
-        new TraceFileGenerator(path, records.take()));
-}
-
-TraceFileGenerator::TraceFileGenerator(const std::string &path)
-    : name_(path)
-{
-    Result<std::vector<TraceRecord>> records = readRecords(path);
-    if (!records.ok())
-        throw ErrorException(records.error());
-    records_ = records.take();
+    return std::make_unique<TraceFileGenerator>(
+        name.empty() ? path : std::move(name),
+        std::make_shared<const std::vector<TraceRecord>>(
+            records.take()));
 }
 
 void
 TraceFileGenerator::next(TraceRecord &out)
 {
-    out = records_[pos_];
+    out = (*records_)[pos_];
     // Branch instead of modulo: this runs once per simulated memory
     // instruction and the division was measurable in profiles.
-    if (++pos_ == records_.size())
+    if (++pos_ == records_->size())
         pos_ = 0;
 }
 

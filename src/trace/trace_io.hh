@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/errors.hh"
@@ -30,59 +31,57 @@ namespace bouquet
 {
 
 /**
- * Capture `count` records from `gen` into a trace file.
- * Throws ErrorException (a std::runtime_error) on I/O failure.
+ * Capture `count` records from `gen` into a trace file. Error code:
+ * io (cannot open or write).
  */
-void writeTraceFile(const std::string &path, WorkloadGenerator &gen,
-                    std::uint64_t count);
-
-/** Non-throwing variant of writeTraceFile. */
 Status writeTrace(const std::string &path, WorkloadGenerator &gen,
                   std::uint64_t count);
 
 /**
  * Load, validate, and decode a whole trace file into records. This is
- * the single decode path: TraceFileGenerator and the shared TracePool
- * both sit on top of it. Error codes: io (unreadable), bad_magic,
- * bad_version, truncated, oversized, empty. Fault point: `trace.read`.
+ * the single decode path under every TraceFileGenerator. Error codes:
+ * io (unreadable), bad_magic, bad_version, truncated, oversized,
+ * empty. Fault point: `trace.read`.
  */
 Result<std::vector<TraceRecord>>
 readTraceRecords(const std::string &path);
 
+/** Decoded records, shared read-only by the generators replaying them. */
+using SharedTraceRecords = std::shared_ptr<const std::vector<TraceRecord>>;
+
 /**
- * A workload generator replaying a trace file. The whole trace is
- * loaded into memory (records are 20 bytes; a 10M-record sim-point is
- * 200 MB — the files this library writes are far smaller). Replay
- * wraps at the end of file.
+ * A workload generator replaying decoded trace records. The whole
+ * trace is held in memory (records are 20 bytes; a 10M-record
+ * sim-point is 200 MB — the files this library writes are far
+ * smaller). Replay wraps at the end of file. The records may be
+ * shared: every core of every combo replaying one file in a run
+ * holds the same vector, and only the cursor is private.
  */
 class TraceFileGenerator : public WorkloadGenerator
 {
   public:
     /**
-     * Load and validate a trace file. Error codes: io (unreadable),
-     * bad_magic, bad_version, truncated, oversized, empty.
+     * Load and validate a trace file into a generator named `name`
+     * (the path when empty). Error codes: readTraceRecords'.
      */
     static Result<std::unique_ptr<TraceFileGenerator>>
-    load(const std::string &path);
+    load(const std::string &path, std::string name = {});
 
-    /** Load a trace file; throws ErrorException on failure. */
-    explicit TraceFileGenerator(const std::string &path);
+    /** Replay already-decoded records. `records` must be non-empty. */
+    TraceFileGenerator(std::string name, SharedTraceRecords records)
+        : name_(std::move(name)), records_(std::move(records))
+    {
+    }
 
     void next(TraceRecord &out) override;
     void reset() override { pos_ = 0; }
     std::string name() const override { return name_; }
 
-    std::size_t size() const { return records_.size(); }
+    std::size_t size() const { return records_->size(); }
 
   private:
-    TraceFileGenerator(std::string name,
-                       std::vector<TraceRecord> records)
-        : name_(std::move(name)), records_(std::move(records))
-    {
-    }
-
     std::string name_;
-    std::vector<TraceRecord> records_;
+    SharedTraceRecords records_;
     std::size_t pos_ = 0;
 };
 

@@ -225,7 +225,7 @@ TEST_F(FaultTest, TraceReadFaultFailsOnceThenLoads)
     const std::string path = tmp.file("w.trace");
     ConstantStrideParams p;
     ConstantStrideGen gen("w", 7, p);
-    writeTraceFile(path, gen, 10);
+    ASSERT_TRUE(writeTrace(path, gen, 10).ok());
 
     ASSERT_TRUE(
         FaultRegistry::instance().configure("trace.read@1").ok());

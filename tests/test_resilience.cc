@@ -2,10 +2,10 @@
  * @file
  * Resource-exhaustion resilience tests (DESIGN.md §5i): disk-budget
  * LRU sweeps, OutcomeStore record GC, ENOSPC graceful degradation
- * through the *.nospace fault points and the degraded-publish ledger, the TracePool memory budget with
- * live-cursor pinning, the supervisor's StallTracker, worker pulse
- * beacons, and a seeded random-bytes fuzzer proving every store
- * reader heals or rejects garbage instead of crashing.
+ * through the *.nospace fault points and the degraded-publish ledger,
+ * the supervisor's StallTracker, worker pulse beacons, and a seeded
+ * random-bytes fuzzer proving every store reader heals or rejects
+ * garbage instead of crashing.
  */
 
 #include <gtest/gtest.h>
@@ -34,8 +34,6 @@
 #include "harness/outcomestore.hh"
 #include "harness/warmstore.hh"
 #include "trace/suite.hh"
-#include "trace/trace_io.hh"
-#include "trace/tracepool.hh"
 #include "tests/test_support.hh"
 
 namespace bouquet
@@ -339,66 +337,6 @@ TEST_F(ResilienceTest, ClassifyWriteErrnoSplitsNoSpaceFromIo)
     const Error io = classifyWriteErrno(EIO, "flaky");
     EXPECT_EQ(io.code, Errc::io);
     EXPECT_TRUE(io.transient);
-}
-
-// ---- TracePool memory budget ----
-
-TEST_F(ResilienceTest, TracePoolBudgetEvictsUnpinnedLruImages)
-{
-    TempDir dir;
-    const std::vector<std::string> names = {"a.trace", "b.trace",
-                                            "c.trace"};
-    for (const std::string &name : names) {
-        GeneratorPtr gen = makeWorkload(findTrace("605.mcf_s-472B"));
-        ASSERT_TRUE(writeTrace(dir.file(name), *gen, 3'000).ok());
-    }
-
-    TracePool &pool = TracePool::instance();
-    pool.clear();
-    const std::uint64_t image_bytes = [&] {
-        Result<std::shared_ptr<const TraceImage>> probe =
-            pool.acquire(dir.file("a.trace"));
-        EXPECT_TRUE(probe.ok());
-        return static_cast<std::uint64_t>(
-            probe.value()->records.size() * sizeof(TraceRecord));
-    }();
-    pool.clear();
-
-    // Budget fits ~1.5 images.
-    const double budget_mb =
-        1.5 * static_cast<double>(image_bytes) / (1024.0 * 1024.0);
-    EnvGuard mb("IPCP_TRACE_POOL_BUDGET_MB",
-                std::to_string(budget_mb).c_str());
-    const std::uint64_t evict0 = pool.evictions();
-
-    // Two live cursors pin both images: the pool may transiently
-    // exceed the budget but never drops a referenced image.
-    Result<std::shared_ptr<const TraceImage>> a =
-        pool.acquire(dir.file("a.trace"));
-    Result<std::shared_ptr<const TraceImage>> b =
-        pool.acquire(dir.file("b.trace"));
-    ASSERT_TRUE(a.ok() && b.ok());
-    EXPECT_EQ(pool.evictions(), evict0);
-    EXPECT_GT(pool.pooledBytes(), image_bytes);
-
-    // Cursors retire: the next acquire reclaims the LRU images.
-    a.value().reset();
-    b.value().reset();
-    Result<std::shared_ptr<const TraceImage>> c =
-        pool.acquire(dir.file("c.trace"));
-    ASSERT_TRUE(c.ok());
-    EXPECT_GT(pool.evictions(), evict0);
-    EXPECT_LE(pool.pooledBytes(),
-              static_cast<std::uint64_t>(budget_mb * 1024 * 1024));
-
-    // The evicted image is simply re-decoded on demand.
-    const std::uint64_t misses = pool.misses();
-    Result<std::shared_ptr<const TraceImage>> again =
-        pool.acquire(dir.file("a.trace"));
-    ASSERT_TRUE(again.ok());
-    EXPECT_EQ(pool.misses(), misses + 1);
-    EXPECT_EQ(again.value()->records.size(), 3'000u);
-    pool.clear();
 }
 
 // ---- stall watchdog pieces ----

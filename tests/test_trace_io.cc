@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "core/system.hh"
+#include "harness/factory.hh"
+#include "harness/statsjson.hh"
 #include "trace/suite.hh"
 #include "trace/trace_io.hh"
 #include "trace/workloads.hh"
@@ -36,10 +44,12 @@ TEST(TraceIo, RoundTripPreservesRecords)
     TempFile tmp;
     ConstantStrideParams p;
     ConstantStrideGen gen("w", 7, p);
-    writeTraceFile(tmp.path, gen, 1000);
+    ASSERT_TRUE(writeTrace(tmp.path, gen, 1000).ok());
 
     gen.reset();
-    TraceFileGenerator replay(tmp.path);
+    auto loaded = TraceFileGenerator::load(tmp.path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    TraceFileGenerator &replay = *loaded.value();
     EXPECT_EQ(replay.size(), 1000u);
     for (int i = 0; i < 1000; ++i) {
         TraceRecord a, b;
@@ -58,9 +68,11 @@ TEST(TraceIo, ReplayWrapsAtEnd)
     TempFile tmp;
     ConstantStrideParams p;
     ConstantStrideGen gen("w", 7, p);
-    writeTraceFile(tmp.path, gen, 10);
+    ASSERT_TRUE(writeTrace(tmp.path, gen, 10).ok());
 
-    TraceFileGenerator replay(tmp.path);
+    auto loaded = TraceFileGenerator::load(tmp.path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    TraceFileGenerator &replay = *loaded.value();
     TraceRecord first;
     replay.next(first);
     TraceRecord r;
@@ -75,9 +87,11 @@ TEST(TraceIo, ResetRewinds)
     TempFile tmp;
     PointerChaseParams p;
     PointerChaseGen gen("w", 3, p);
-    writeTraceFile(tmp.path, gen, 50);
+    ASSERT_TRUE(writeTrace(tmp.path, gen, 50).ok());
 
-    TraceFileGenerator replay(tmp.path);
+    auto loaded = TraceFileGenerator::load(tmp.path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    TraceFileGenerator &replay = *loaded.value();
     TraceRecord a;
     replay.next(a);
     for (int i = 0; i < 20; ++i) {
@@ -97,9 +111,11 @@ TEST(TraceIo, SerializeFlagSurvives)
     p.regularFraction = 0.0;
     p.nodeAccesses = 1;
     PointerChaseGen gen("w", 3, p);
-    writeTraceFile(tmp.path, gen, 20);
+    ASSERT_TRUE(writeTrace(tmp.path, gen, 20).ok());
 
-    TraceFileGenerator replay(tmp.path);
+    auto loaded = TraceFileGenerator::load(tmp.path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    TraceFileGenerator &replay = *loaded.value();
     for (int i = 0; i < 20; ++i) {
         TraceRecord r;
         replay.next(r);
@@ -114,13 +130,12 @@ TEST(TraceIo, RejectsGarbageFile)
     ASSERT_NE(f, nullptr);
     std::fputs("this is not a trace", f);
     std::fclose(f);
-    EXPECT_THROW(TraceFileGenerator{tmp.path}, std::runtime_error);
+    EXPECT_FALSE(TraceFileGenerator::load(tmp.path).ok());
 }
 
 TEST(TraceIo, MissingFileThrows)
 {
-    EXPECT_THROW(TraceFileGenerator{"/nonexistent/path.trace"},
-                 std::runtime_error);
+    EXPECT_FALSE(TraceFileGenerator::load("/nonexistent/path.trace").ok());
 }
 
 TEST(TraceIo, TruncatedFileThrows)
@@ -128,14 +143,14 @@ TEST(TraceIo, TruncatedFileThrows)
     TempFile tmp;
     ConstantStrideParams p;
     ConstantStrideGen gen("w", 7, p);
-    writeTraceFile(tmp.path, gen, 100);
+    ASSERT_TRUE(writeTrace(tmp.path, gen, 100).ok());
     // Chop the file mid-record.
-    truncate(tmp.path.c_str(), 16 + 55 * 20 + 7);
-    EXPECT_THROW(TraceFileGenerator{tmp.path}, std::runtime_error);
+    ASSERT_EQ(truncate(tmp.path.c_str(), 16 + 55 * 20 + 7), 0);
+    EXPECT_FALSE(TraceFileGenerator::load(tmp.path).ok());
 }
 
 // ---- corrupted-trace matrix: every header/size violation maps to a
-// precise error code through the non-throwing load() entry point ----
+// precise error code through load() ----
 
 /** Write a small valid trace and return its path. */
 void
@@ -143,7 +158,7 @@ writeValidTrace(const std::string &path, std::uint64_t records = 10)
 {
     ConstantStrideParams p;
     ConstantStrideGen gen("w", 7, p);
-    writeTraceFile(path, gen, records);
+    ASSERT_TRUE(writeTrace(path, gen, records).ok());
 }
 
 TEST(TraceIo, LoadRoundTrip)
@@ -230,6 +245,85 @@ TEST(TraceIo, LoadReportsZeroRecordsAsEmpty)
     auto gen = TraceFileGenerator::load(tmp.path);
     ASSERT_FALSE(gen.ok());
     EXPECT_EQ(gen.error().code, Errc::empty);
+}
+
+// ---- shared decoding: one decoded vector under several cursors ----
+
+TEST(TraceIo, SharedRecordsKeepSeparateCursors)
+{
+    TempFile tmp;
+    writeValidTrace(tmp.path, 50);
+    Result<std::vector<TraceRecord>> decoded = readTraceRecords(tmp.path);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+    const SharedTraceRecords shared =
+        std::make_shared<const std::vector<TraceRecord>>(decoded.take());
+    TraceFileGenerator a(tmp.path, shared);
+    TraceFileGenerator b(tmp.path, shared);
+    auto own_a = TraceFileGenerator::load(tmp.path);
+    auto own_b = TraceFileGenerator::load(tmp.path);
+    ASSERT_TRUE(own_a.ok() && own_b.ok());
+
+    // Put `a` ahead of `b`, then step both past the wrap at record 50:
+    // each must replay what its separately loaded twin replays.
+    TraceRecord x, y;
+    for (int i = 0; i < 17; ++i) {
+        a.next(x);
+        own_a.value()->next(y);
+        ASSERT_TRUE(x == y) << "a, record " << i;
+    }
+    for (int i = 0; i < 120; ++i) {
+        a.next(x);
+        own_a.value()->next(y);
+        ASSERT_TRUE(x == y) << "a, record " << 17 + i;
+        b.next(x);
+        own_b.value()->next(y);
+        ASSERT_TRUE(x == y) << "b, record " << i;
+    }
+}
+
+/** Run a two-core mix over `workloads` and return its stats JSON. */
+std::string
+twoCoreStatsJson(std::vector<GeneratorPtr> workloads)
+{
+    SystemConfig cfg;
+    cfg.dram.channels = 2;
+    System sys(cfg, std::move(workloads));
+    applyCombo(sys, "ipcp");
+    sys.run(2'000, 10'000);
+    TempFile out;
+    EXPECT_TRUE(writeSystemStatsJson(sys, out.path, "shared").ok());
+    std::ifstream in(out.path, std::ios::binary);
+    std::ostringstream body;
+    body << in.rdbuf();
+    return body.str();
+}
+
+TEST(TraceIo, SharedRecordsSystemMatchesSeparateLoads)
+{
+    TempFile tmp;
+    {
+        GeneratorPtr gen = makeWorkload(findTrace("605.mcf_s-472B"));
+        ASSERT_TRUE(writeTrace(tmp.path, *gen, 3'000).ok());
+    }
+
+    Result<std::vector<TraceRecord>> decoded = readTraceRecords(tmp.path);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+    const SharedTraceRecords shared =
+        std::make_shared<const std::vector<TraceRecord>>(decoded.take());
+    std::vector<GeneratorPtr> one_decode;
+    std::vector<GeneratorPtr> two_decodes;
+    for (int c = 0; c < 2; ++c) {
+        one_decode.push_back(
+            std::make_unique<TraceFileGenerator>(tmp.path, shared));
+        auto own = TraceFileGenerator::load(tmp.path);
+        ASSERT_TRUE(own.ok()) << own.error().message;
+        two_decodes.push_back(own.take());
+    }
+
+    const std::string json_shared = twoCoreStatsJson(std::move(one_decode));
+    const std::string json_own = twoCoreStatsJson(std::move(two_decodes));
+    EXPECT_FALSE(json_shared.empty());
+    EXPECT_TRUE(json_shared == json_own) << "stats JSON differs";
 }
 
 } // namespace

@@ -1,13 +1,12 @@
 /**
  * @file
- * Warm-state memoization and shared trace-pool tests (DESIGN.md §5h):
+ * Warm-state memoization tests (DESIGN.md §5h):
  * warmup-key hygiene (every warmup-affecting knob changes the key),
  * WarmStore publish/fetch across instances, self-healing of stale,
  * truncated, zero-byte and corrupt warm files, the core §5h contract —
  * a warm-started run is byte-identical to a cold one, across different
- * measurement lengths — the TracePool's one-decode sharing and
- * freshness reload, and a two-campaign end-to-end run proving the
- * second fleet warm-hits and still emits an identical report.
+ * measurement lengths — and a two-campaign end-to-end run proving
+ * the second fleet warm-hits and still emits an identical report.
  */
 
 #include <gtest/gtest.h>
@@ -30,7 +29,6 @@
 #include "harness/warmstore.hh"
 #include "trace/suite.hh"
 #include "trace/trace_io.hh"
-#include "trace/tracepool.hh"
 #include "tests/test_support.hh"
 
 namespace bouquet
@@ -319,78 +317,6 @@ TEST(WarmStore, WarmStartIsByteIdenticalToColdAcrossSimLengths)
               readAll(dir.file("hit40.json")));
 }
 
-// ---- shared decoded-trace pool ----
-
-TEST(TracePool, SharesOneImageAndReloadsOnChange)
-{
-    TempDir dir;
-    const std::string path = dir.file("t.trace");
-    {
-        GeneratorPtr gen = makeWorkload(findTrace("605.mcf_s-472B"));
-        ASSERT_TRUE(writeTrace(path, *gen, 3'000).ok());
-    }
-
-    TracePool &pool = TracePool::instance();
-    pool.clear();
-    const std::uint64_t hits0 = pool.hits();
-    const std::uint64_t misses0 = pool.misses();
-
-    Result<std::shared_ptr<const TraceImage>> first =
-        pool.acquire(path);
-    ASSERT_TRUE(first.ok());
-    EXPECT_EQ(first.value()->records.size(), 3'000u);
-    EXPECT_EQ(pool.misses(), misses0 + 1);
-
-    Result<std::shared_ptr<const TraceImage>> second =
-        pool.acquire(path);
-    ASSERT_TRUE(second.ok());
-    EXPECT_EQ(first.value().get(), second.value().get())
-        << "second acquire decoded a fresh image";
-    EXPECT_EQ(pool.hits(), hits0 + 1);
-
-    // A changed file (different size) invalidates the cached image.
-    {
-        GeneratorPtr gen = makeWorkload(findTrace("605.mcf_s-472B"));
-        ASSERT_TRUE(writeTrace(path, *gen, 4'000).ok());
-    }
-    Result<std::shared_ptr<const TraceImage>> reloaded =
-        pool.acquire(path);
-    ASSERT_TRUE(reloaded.ok());
-    EXPECT_NE(first.value().get(), reloaded.value().get());
-    EXPECT_EQ(reloaded.value()->records.size(), 4'000u);
-
-    // A missing file is an error, not a crash.
-    EXPECT_FALSE(pool.acquire(dir.file("absent.trace")).ok());
-    pool.clear();
-}
-
-TEST(TracePool, PooledGeneratorReplaysIdenticallyToFileGenerator)
-{
-    TempDir dir;
-    const std::string path = dir.file("t.trace");
-    {
-        GeneratorPtr gen = makeWorkload(findTrace("619.lbm_s-2676B"));
-        ASSERT_TRUE(writeTrace(path, *gen, 2'000).ok());
-    }
-
-    TracePool::instance().clear();
-    Result<std::shared_ptr<const TraceImage>> image =
-        TracePool::instance().acquire(path);
-    ASSERT_TRUE(image.ok());
-    PooledTraceGenerator pooled(path, image.take());
-    TraceFileGenerator file(path);
-
-    // Past the end of file, so the wrap path is compared too.
-    for (unsigned i = 0; i < 5'000; ++i) {
-        TraceRecord a;
-        TraceRecord b;
-        pooled.next(a);
-        file.next(b);
-        ASSERT_TRUE(a == b) << "record " << i;
-    }
-    TracePool::instance().clear();
-}
-
 // ---- harness-level cache counters ----
 
 TEST(WarmStore, HarnessCacheStatsExposeWarmAndPoolCounters)
@@ -398,8 +324,7 @@ TEST(WarmStore, HarnessCacheStatsExposeWarmAndPoolCounters)
     const auto snap = harnessCacheStats().snapshot();
     for (const char *path :
          {"campaign.warm.hit", "campaign.warm.miss",
-          "campaign.warm.publish", "campaign.warm.heal",
-          "campaign.tracepool.hit", "campaign.tracepool.miss"})
+          "campaign.warm.publish", "campaign.warm.heal"})
         EXPECT_TRUE(snap.count(path) == 1) << path;
 }
 
@@ -427,8 +352,6 @@ TEST(WarmCampaign, SecondCampaignWarmHitsWithIdenticalReport)
     spec.jobs.push_back(CampaignJob{"605.mcf_s-472B", "ipcp"});
     spec.jobs.push_back(CampaignJob{"file:" + trace_file, "none"});
 
-    TracePool::instance().clear();
-
     const auto runCampaign = [&](const std::string &root) {
         const CampaignPaths paths(root);
         EXPECT_TRUE(initCampaignDirs(paths).ok());
@@ -444,19 +367,15 @@ TEST(WarmCampaign, SecondCampaignWarmHitsWithIdenticalReport)
     EXPECT_EQ(a.done, 2u);
     EXPECT_EQ(a.warmHits, 0u);
     EXPECT_EQ(a.warmMisses, 2u);
-    EXPECT_EQ(a.poolMisses, 1u);  // only the file: job touches the pool
 
     const CampaignTotals b = runCampaign(dir.file("campB"));
     EXPECT_EQ(b.done, 2u);
     EXPECT_EQ(b.warmHits, 2u) << "second fleet did not warm-start";
     EXPECT_EQ(b.warmMisses, 0u);
-    EXPECT_EQ(b.poolHits, 1u);
-    EXPECT_EQ(b.poolMisses, 0u);
 
     // The deterministic report must not betray who warm-started.
     EXPECT_EQ(readAll(CampaignPaths(dir.file("campA")).reportFile()),
               readAll(CampaignPaths(dir.file("campB")).reportFile()));
-    TracePool::instance().clear();
 }
 
 } // namespace

@@ -8,10 +8,10 @@
 # default run lengths — because that is the campaign the fast path
 # exists for; TRACES / COMBOS narrow it for smoke runs.
 #
-#   seed       the seed campaign engine's behaviour: warm sharing and
-#              the trace pool off, and the eager 250k-cycle checkpoint
-#              cadence the engine hard-coded before the wall-clock
-#              rate limit existed (IPCP_CKPT_MIN_MS=0)
+#   seed       the seed campaign engine's behaviour: warm sharing
+#              off, and the eager 250k-cycle checkpoint cadence the
+#              engine hard-coded before the wall-clock rate limit
+#              existed (IPCP_CKPT_MIN_MS=0)
 #   cold       this PR's defaults with an empty shared warm dir: rate-
 #              limited checkpoints, every job simulates warmup once and
 #              publishes its end-of-warmup state
@@ -73,8 +73,8 @@ say "sweep: traces=$([ "$TRACES" = 0 ] && echo all || echo "$TRACES")" \
     "combos={${COMBOS:-default}}, $WORKERS worker(s)," \
     "sim=$SIM warmup=$WARMUP"
 
-say "pass 1/3: seed behaviour (warm off, pool off, eager checkpoints)"
-SEED_S=$(run_pass seed IPCP_WARM=0 IPCP_TRACE_POOL=0 IPCP_CKPT_MIN_MS=0)
+say "pass 1/3: seed behaviour (warm off, eager checkpoints)"
+SEED_S=$(run_pass seed IPCP_WARM=0 IPCP_CKPT_MIN_MS=0)
 say "seed: ${SEED_S}s"
 
 say "pass 2/3: fast path, cold warm dir (publishes warm states)"
@@ -117,7 +117,7 @@ doc = {
     "entries": [
         {"name": "seed", "seconds": seed_s,
          "jobs_per_sec": round(jobs / seed_s, 2),
-         "warm": False, "pool": False, "eager_ckpt": True},
+         "warm": False, "eager_ckpt": True},
         {"name": "cold", "seconds": cold_s,
          "jobs_per_sec": round(jobs / cold_s, 2),
          "warm_hits": cold_totals["warm_hits"],

@@ -69,7 +69,7 @@ usage()
         "env: IPCP_LEASE_TTL, IPCP_QUARANTINE_AFTER, IPCP_SIM_INSTRS,\n"
         "     IPCP_WARMUP_INSTRS, IPCP_CKPT_EVERY, IPCP_JOB_TIMEOUT,\n"
         "     IPCP_STALL_TIMEOUT, IPCP_WARM_BUDGET_MB,\n"
-        "     IPCP_CKPT_BUDGET_MB, IPCP_TRACE_POOL_BUDGET_MB\n"
+        "     IPCP_CKPT_BUDGET_MB\n"
         "     (IPCP_STORE_BUDGET_MB does not apply: each job's done\n"
         "     file carries its outcome)\n";
 }

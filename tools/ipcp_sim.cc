@@ -36,7 +36,6 @@
 #include "ipcp/metadata.hh"
 #include "trace/suite.hh"
 #include "trace/trace_io.hh"
-#include "trace/tracepool.hh"
 
 namespace
 {
@@ -289,7 +288,12 @@ main(int argc, char **argv)
     try {
         if (!record_name.empty()) {
             GeneratorPtr gen = makeWorkload(record_name);
-            writeTraceFile(out_path, *gen, records);
+            if (Status s = writeTrace(out_path, *gen, records);
+                !s.ok()) {
+                std::cerr << "error: " << s.error().message << " ["
+                          << errcName(s.error().code) << "]\n";
+                return 1;
+            }
             std::cout << "recorded " << records << " records of "
                       << record_name << " to " << out_path << "\n";
             return 0;
@@ -375,25 +379,31 @@ main(int argc, char **argv)
         if (!trace_file.empty()) {
             // Recorded traces aren't named specs the runner can
             // re-instantiate per worker; replay them directly. The
-            // file is decoded once into the shared TracePool and
-            // every core of every combo replays that one image. A bad
-            // trace file or combo fails that combo's run only.
+            // file is decoded once and every core of every combo
+            // replays those records through its own cursor. A bad
+            // trace file fails every combo; a bad combo fails its own
+            // run only.
+            Result<std::vector<TraceRecord>> decoded =
+                readTraceRecords(trace_file);
+            SharedTraceRecords shared;
+            if (decoded.ok())
+                shared = std::make_shared<const std::vector<TraceRecord>>(
+                    decoded.take());
             for (const std::string &name : combo_names) {
                 SystemConfig sys_cfg = cfg.system;
                 sys_cfg.dram.channels = cores > 1 ? 2 : 1;
-                auto image = TracePool::instance().acquire(trace_file);
-                if (!image.ok()) {
+                if (!decoded.ok()) {
                     std::cerr << "error: combo " << name << ": "
-                              << image.error().message << " ["
-                              << errcName(image.error().code) << "]\n";
+                              << decoded.error().message << " ["
+                              << errcName(decoded.error().code) << "]\n";
                     ++failed_jobs;
                     continue;
                 }
                 std::vector<GeneratorPtr> workloads;
                 for (unsigned c = 0; c < cores; ++c)
                     workloads.push_back(
-                        std::make_unique<PooledTraceGenerator>(
-                            trace_file, image.value()));
+                        std::make_unique<TraceFileGenerator>(trace_file,
+                                                             shared));
                 System sys(sys_cfg, std::move(workloads));
                 if (Status s = tryApplyCombo(sys, name); !s.ok()) {
                     std::cerr << "error: " << s.error().message << "\n";

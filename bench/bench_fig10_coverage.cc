@@ -24,7 +24,9 @@ main()
 
     const Combo ipcp = namedCombo("ipcp");
     const Combo baseline = namedCombo("none");
-    runBatch(memIntensiveTraces(), {baseline, ipcp}, cfg);
+    const std::vector<TraceSpec> &traces = memIntensiveTraces();
+    const std::vector<std::vector<JobOutcome>> outs =
+        runBatch(traces, {baseline, ipcp}, cfg);
     TablePrinter table({"trace", "L1 cov", "L2 cov", "LLC cov"});
     MeanAccumulator m1, m2, m3;
 
@@ -43,26 +45,23 @@ main()
                static_cast<double>(base.demandMisses());
     };
 
-    for (const TraceSpec &t : memIntensiveTraces()) {
-        const Result<Outcome> ro = tryRun(t, ipcp.label, ipcp.attach, cfg);
-        const Result<Outcome> rb =
-            tryRun(t, baseline.label, baseline.attach, cfg);
-        if (!ro.ok() || !rb.ok()) {
-            std::cerr << "[fig10] skipping " << t.name << ": "
-                      << (ro.ok() ? rb.error().message
-                                  : ro.error().message)
-                      << "\n";
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+        const JobOutcome &rb = outs[0][t];
+        const JobOutcome &ro = outs[1][t];
+        if (!ro.ok || !rb.ok) {
+            std::cerr << "[fig10] skipping " << traces[t].name << ": "
+                      << (ro.ok ? rb.error : ro.error) << "\n";
             continue;
         }
-        const Outcome &o = ro.value();
-        const Outcome &b = rb.value();
+        const Outcome &o = ro.outcome;
+        const Outcome &b = rb.outcome;
         const double c1 = coverage(o.l1d, b.l1d);
         const double c2 = coverage(o.l2, b.l2);
         const double c3 = coverage(o.llc, b.llc);
         m1.add(c1);
         m2.add(c2);
         m3.add(c3);
-        table.addRow({t.name, TablePrinter::num(c1 * 100, 1) + "%",
+        table.addRow({traces[t].name, TablePrinter::num(c1 * 100, 1) + "%",
                       TablePrinter::num(c2 * 100, 1) + "%",
                       TablePrinter::num(c3 * 100, 1) + "%"});
     }

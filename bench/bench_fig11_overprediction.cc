@@ -24,24 +24,23 @@ main()
 
     const Combo ipcp = namedCombo("ipcp");
     const Combo baseline = namedCombo("none");
-    runBatch(memIntensiveTraces(), {baseline, ipcp}, cfg);
+    const std::vector<TraceSpec> &traces = memIntensiveTraces();
+    const std::vector<std::vector<JobOutcome>> outs =
+        runBatch(traces, {baseline, ipcp}, cfg);
     TablePrinter table(
         {"trace", "covered", "uncovered", "overpredicted"});
     MeanAccumulator mc, mu, mo;
 
-    for (const TraceSpec &t : memIntensiveTraces()) {
-        const Result<Outcome> ro = tryRun(t, ipcp.label, ipcp.attach, cfg);
-        const Result<Outcome> rb =
-            tryRun(t, baseline.label, baseline.attach, cfg);
-        if (!ro.ok() || !rb.ok()) {
-            std::cerr << "[fig11] skipping " << t.name << ": "
-                      << (ro.ok() ? rb.error().message
-                                  : ro.error().message)
-                      << "\n";
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+        const JobOutcome &rb = outs[0][t];
+        const JobOutcome &ro = outs[1][t];
+        if (!ro.ok || !rb.ok) {
+            std::cerr << "[fig11] skipping " << traces[t].name << ": "
+                      << (ro.ok ? rb.error : ro.error) << "\n";
             continue;
         }
-        const Outcome &o = ro.value();
-        const Outcome &b = rb.value();
+        const Outcome &o = ro.outcome;
+        const Outcome &b = rb.outcome;
         // All fractions are relative to the baseline's L1-D demand
         // misses, as in Fig. 11: covered = misses removed, uncovered =
         // misses remaining, over-predicted = prefetched lines evicted
@@ -60,7 +59,7 @@ main()
         mc.add(c);
         mu.add(u);
         mo.add(ov);
-        table.addRow({t.name, TablePrinter::num(c * 100, 1) + "%",
+        table.addRow({traces[t].name, TablePrinter::num(c * 100, 1) + "%",
                       TablePrinter::num(u * 100, 1) + "%",
                       TablePrinter::num(ov * 100, 1) + "%"});
     }

@@ -22,22 +22,22 @@ main()
                 "Per-class contribution to L1 coverage (Fig. 12)");
 
     const Combo ipcp = namedCombo("ipcp");
-    runBatch(memIntensiveTraces(), {ipcp}, cfg);
+    const std::vector<TraceSpec> &traces = memIntensiveTraces();
+    const std::vector<JobOutcome> outs = runBatch(traces, {ipcp}, cfg)[0];
     TablePrinter table({"trace", "cs", "cplx", "gs", "nl"});
     MeanAccumulator means[kIpcpClassCount];
 
-    for (const TraceSpec &t : memIntensiveTraces()) {
-        const Result<Outcome> r = tryRun(t, ipcp.label, ipcp.attach, cfg);
-        if (!r.ok()) {
-            std::cerr << "[fig12] skipping " << t.name << ": "
-                      << r.error().message << "\n";
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+        if (!outs[t].ok) {
+            std::cerr << "[fig12] skipping " << traces[t].name << ": "
+                      << outs[t].error << "\n";
             continue;
         }
-        const Outcome &o = r.value();
+        const Outcome &o = outs[t].outcome;
         std::uint64_t total = 0;
         for (unsigned c = 1; c < kIpcpClassCount; ++c)
             total += o.l1d.pfClassUseful[c];
-        std::vector<std::string> row{t.name};
+        std::vector<std::string> row{traces[t].name};
         for (unsigned c = 1; c < kIpcpClassCount; ++c) {
             const double share =
                 total > 0 ? static_cast<double>(

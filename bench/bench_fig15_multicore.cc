@@ -10,6 +10,7 @@
  */
 
 #include <iostream>
+#include <map>
 
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
@@ -20,27 +21,26 @@ namespace
 using namespace bouquet;
 using namespace bouquet::bench;
 
+/** The no-prefetching single-core outcome of each trace, by name. */
+using AloneRuns = std::map<std::string, JobOutcome>;
+
 /**
  * Weighted speedup of one mix outcome. IPC_alone is always taken from
- * the no-prefetching single-core runs (disk-cached): the paper
- * normalizes every configuration against the same alone-IPC
- * reference, so the ratio WS_combo / WS_none measures what
- * prefetching does to the mix rather than how much of its single-core
- * gain it retains.
+ * the no-prefetching single-core runs: the paper normalizes every
+ * configuration against the same alone-IPC reference, so the ratio
+ * WS_combo / WS_none measures what prefetching does to the mix rather
+ * than how much of its single-core gain it retains.
  */
 Result<double>
-weightedSpeedupOf(const MixOutcome &out,
-                  const std::vector<TraceSpec> &mix,
-                  const Combo &alone_ref, const ExperimentConfig &cfg)
+weightedSpeedupOf(const MixOutcome &out, const AloneRuns &alone)
 {
     double ws = 0;
-    for (std::size_t i = 0; i < mix.size(); ++i) {
-        const Result<Outcome> alone =
-            tryRun(mix[i], alone_ref.label, alone_ref.attach, cfg);
-        if (!alone.ok())
-            return alone.error();
-        if (alone.value().ipc > 0)
-            ws += out.ipc[i] / alone.value().ipc;
+    for (std::size_t i = 0; i < out.traces.size(); ++i) {
+        const JobOutcome &ref = alone.at(out.traces[i]);
+        if (!ref.ok)
+            return makeError(Errc::failed, ref.error);
+        if (ref.outcome.ipc > 0)
+            ws += out.ipc[i] / ref.outcome.ipc;
     }
     return ws;
 }
@@ -97,23 +97,20 @@ main()
         categories.push_back(std::move(cat));
     }
 
-    // Prime the alone-IPC references (one single-core baseline run per
-    // distinct trace) across the worker pool.
+    // The alone-IPC references: one single-core baseline run per
+    // distinct trace, batched across the worker pool.
+    AloneRuns alone;
     {
-        std::vector<TraceSpec> alone;
-        std::vector<bool> seen;
-        for (const Category &cat : categories) {
-            for (const auto &mix : cat.mixes) {
-                for (const TraceSpec &t : mix) {
-                    bool dup = false;
-                    for (const TraceSpec &a : alone)
-                        dup = dup || a.name == t.name;
-                    if (!dup)
-                        alone.push_back(t);
-                }
-            }
-        }
-        runBatch(alone, {baseline}, cfg);
+        std::vector<TraceSpec> traces;
+        for (const Category &cat : categories)
+            for (const auto &mix : cat.mixes)
+                for (const TraceSpec &t : mix)
+                    if (alone.emplace(t.name, JobOutcome{}).second)
+                        traces.push_back(t);
+        std::vector<JobOutcome> outs =
+            runBatch(traces, {baseline}, cfg)[0];
+        for (std::size_t i = 0; i < traces.size(); ++i)
+            alone[traces[i].name] = std::move(outs[i]);
     }
 
     // Batch-submit every mix simulation: per mix, the no-prefetching
@@ -152,8 +149,8 @@ main()
                           << "\n";
                 continue;
             }
-            const Result<double> ws_none = weightedSpeedupOf(
-                base_jo.outcome, mix, baseline, cfg);
+            const Result<double> ws_none =
+                weightedSpeedupOf(base_jo.outcome, alone);
             if (!ws_none.ok()) {
                 std::cerr << "[fig15] skipping a " << cat.name
                           << " mix: " << ws_none.error().message << "\n";
@@ -167,8 +164,8 @@ main()
                               << "\n";
                     continue;
                 }
-                const Result<double> ws = weightedSpeedupOf(
-                    jo.outcome, mix, baseline, cfg);
+                const Result<double> ws =
+                    weightedSpeedupOf(jo.outcome, alone);
                 if (!ws.ok()) {
                     std::cerr << "[fig15] skipping " << cat.name << "|"
                               << combos[c].label << ": "

@@ -36,39 +36,36 @@ main()
     };
     const Combo baseline = namedCombo("none");
 
-    // Batch-submit every simulation this table reads before looping.
-    {
-        std::vector<Combo> all{baseline};
-        const auto combos = tableIIIComboSet();
-        all.insert(all.end(), combos.begin(), combos.end());
-        runBatch(memIntensiveTraces(), all, cfg);
-    }
+    // Batch-submit every simulation this table reads, baseline first.
+    std::vector<Combo> all{baseline};
+    const auto combos = tableIIIComboSet();
+    all.insert(all.end(), combos.begin(), combos.end());
+    const std::vector<TraceSpec> &traces = memIntensiveTraces();
+    const std::vector<std::vector<JobOutcome>> outs =
+        runBatch(traces, all, cfg);
 
     TablePrinter table({"combo", "cov L1", "cov L2", "cov LLC",
                         "acc L1", "acc L2"});
-    for (const Combo &c : tableIIIComboSet()) {
+    for (std::size_t c = 1; c < all.size(); ++c) {
         MeanAccumulator c1, c2, c3, a1, a2;
-        for (const TraceSpec &t : memIntensiveTraces()) {
-            const Result<Outcome> ro = tryRun(t, c.label, c.attach, cfg);
-            const Result<Outcome> rb =
-                tryRun(t, baseline.label, baseline.attach, cfg);
-            if (!ro.ok() || !rb.ok()) {
-                std::cerr << "[tab04] skipping " << t.name << " ("
-                          << c.label << "): "
-                          << (ro.ok() ? rb.error().message
-                                      : ro.error().message)
-                          << "\n";
+        for (std::size_t t = 0; t < traces.size(); ++t) {
+            const JobOutcome &rb = outs[0][t];
+            const JobOutcome &ro = outs[c][t];
+            if (!ro.ok || !rb.ok) {
+                std::cerr << "[tab04] skipping " << traces[t].name << " ("
+                          << all[c].label << "): "
+                          << (ro.ok ? rb.error : ro.error) << "\n";
                 continue;
             }
-            const Outcome &o = ro.value();
-            const Outcome &b = rb.value();
+            const Outcome &o = ro.outcome;
+            const Outcome &b = rb.outcome;
             c1.add(coverage(o.l1d, b.l1d));
             c2.add(coverage(o.l2, b.l2));
             c3.add(coverage(o.llc, b.llc));
             a1.add(accuracy(o.l1d));
             a2.add(accuracy(o.l2));
         }
-        table.addRow({c.label,
+        table.addRow({all[c].label,
                       TablePrinter::num(c1.arithmeticMean(), 2),
                       TablePrinter::num(c2.arithmeticMean(), 2),
                       TablePrinter::num(c3.arithmeticMean(), 2),

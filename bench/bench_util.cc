@@ -76,7 +76,7 @@ submitJobs(const std::vector<Job> &jobs)
     return results;
 }
 
-void
+std::vector<std::vector<JobOutcome>>
 runBatch(const std::vector<TraceSpec> &traces,
          const std::vector<Combo> &combos, const ExperimentConfig &cfg)
 {
@@ -85,7 +85,11 @@ runBatch(const std::vector<TraceSpec> &traces,
     for (const Combo &c : combos)
         for (const TraceSpec &t : traces)
             jobs.push_back(Job{t, c.label, c.attach, cfg});
-    submitJobs(jobs);
+    std::vector<JobOutcome> outs = submitJobs(jobs);
+    std::vector<std::vector<JobOutcome>> grid(combos.size());
+    for (std::size_t i = 0; i < outs.size(); ++i)
+        grid[i / traces.size()].push_back(std::move(outs[i]));
+    return grid;
 }
 
 std::vector<MixJobOutcome>
@@ -119,37 +123,6 @@ defaultConfig()
     return cfg;
 }
 
-Result<Outcome>
-tryRun(const TraceSpec &spec, const std::string &label,
-       const AttachFn &attach, const ExperimentConfig &cfg)
-{
-    const std::string key = jobKey(Job{spec, label, attach, cfg});
-    Outcome out;
-    if (globalStore().get(key, out))
-        return out;
-    try {
-        out = runSingleCore(spec, attach, cfg);
-    } catch (const ErrorException &e) {
-        return e.error();
-    } catch (const std::exception &e) {
-        return makeError(Errc::failed, e.what());
-    }
-    if (Status s = globalStore().put(key, out); !s.ok())
-        std::cerr << "[bench] warning: cache persist failed for " << key
-                  << ": " << s.error().message << "\n";
-    return out;
-}
-
-Outcome
-run(const TraceSpec &spec, const std::string &label,
-    const AttachFn &attach, const ExperimentConfig &cfg)
-{
-    Result<Outcome> r = tryRun(spec, label, attach, cfg);
-    if (!r.ok())
-        throw ErrorException(r.error());
-    return r.take();
-}
-
 std::vector<double>
 speedupTable(std::ostream &os, const std::vector<TraceSpec> &traces,
              const std::vector<Combo> &combos,
@@ -165,24 +138,15 @@ speedupTable(std::ostream &os, const std::vector<TraceSpec> &traces,
     Report report;
 
     // Fan the whole experiment (baseline included) across the worker
-    // pool in one batch; the table below reads the per-job outcomes in
-    // submission (combo-major) order, so a failed job costs only its
-    // own cell — or, for the baseline, its trace's row.
-    std::vector<Job> jobs;
-    jobs.reserve(traces.size() * (combos.size() + 1));
+    // pool in one batch; a failed job costs only its own cell — or,
+    // for the baseline, its trace's row.
     std::vector<Combo> all{baseline};
     all.insert(all.end(), combos.begin(), combos.end());
-    for (const Combo &c : all)
-        for (const TraceSpec &t : traces)
-            jobs.push_back(Job{t, c.label, c.attach, cfg});
-    const std::vector<JobOutcome> outs = submitJobs(jobs);
-    const auto cell = [&](std::size_t combo,
-                          std::size_t trace) -> const JobOutcome & {
-        return outs[combo * traces.size() + trace];
-    };
+    const std::vector<std::vector<JobOutcome>> outs =
+        runBatch(traces, all, cfg);
 
     for (std::size_t t = 0; t < traces.size(); ++t) {
-        const JobOutcome &base = cell(0, t);
+        const JobOutcome &base = outs[0][t];
         if (!base.ok) {
             std::cerr << "[bench] skipping " << traces[t].name
                       << ": baseline failed: " << base.error << "\n";
@@ -191,7 +155,7 @@ speedupTable(std::ostream &os, const std::vector<TraceSpec> &traces,
         report.add(traces[t].name, baseline.label, base.outcome);
         std::vector<std::string> row{traces[t].name};
         for (std::size_t c = 0; c < combos.size(); ++c) {
-            const JobOutcome &jo = cell(c + 1, t);
+            const JobOutcome &jo = outs[c + 1][t];
             if (!jo.ok) {
                 row.push_back("n/a");
                 continue;

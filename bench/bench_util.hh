@@ -93,29 +93,17 @@ std::vector<JobOutcome> submitJobs(const std::vector<Job> &jobs);
 
 /**
  * Fan every (trace x combo) simulation of an experiment across the
- * worker pool, priming the outcome cache so subsequent run() calls
- * are lookups. Benches call this once up front with every combo
- * (baselines included) they will read.
+ * worker pool in one submitJobs() batch. Returns the outcomes indexed
+ * [combo][trace]; a failed cell fails only its own slot. Benches call
+ * this once with every combo (baselines included) they read, and
+ * build their tables from what it returns.
  */
-void runBatch(const std::vector<TraceSpec> &traces,
-              const std::vector<Combo> &combos,
-              const ExperimentConfig &cfg);
+std::vector<std::vector<JobOutcome>>
+runBatch(const std::vector<TraceSpec> &traces,
+         const std::vector<Combo> &combos, const ExperimentConfig &cfg);
 
 /** Batch-submit multi-core mix jobs; outcomes in submission order. */
 std::vector<MixJobOutcome> runMixBatch(const std::vector<MixJob> &jobs);
-
-/**
- * Run (or fetch from the disk cache) one single-core simulation,
- * capturing any failure into the Result instead of unwinding.
- * `label` must uniquely identify the attach configuration.
- */
-Result<Outcome> tryRun(const TraceSpec &spec, const std::string &label,
-                       const AttachFn &attach,
-                       const ExperimentConfig &cfg);
-
-/** tryRun that throws ErrorException on failure (legacy call sites). */
-Outcome run(const TraceSpec &spec, const std::string &label,
-            const AttachFn &attach, const ExperimentConfig &cfg);
 
 /**
  * Print the standard paper-style table: one row per trace with the

@@ -167,11 +167,7 @@ campaignConfig(const CampaignPaths &paths, const CampaignSpec &spec)
 std::string
 keyOf(const CampaignJob &job, const ExperimentConfig &cfg)
 {
-    // Mirrors jobKey() in harness/runner.cc; keep the two in sync.
-    return job.trace + "|" + job.combo + "|" +
-           std::to_string(cfg.simInstrs) + "|" +
-           std::to_string(cfg.warmupInstrs) + "|" +
-           systemFingerprint(cfg.system);
+    return jobKey(job.trace, job.combo, cfg);
 }
 
 std::string

@@ -97,10 +97,10 @@ ExperimentConfig campaignConfig(const CampaignPaths &paths,
                                 const CampaignSpec &spec);
 
 /**
- * The memoization key of a campaign job — byte-identical to the
- * runner's jobKey() for the materialized Job, but computable for jobs
- * that cannot be materialized (unknown trace), so queue artifacts
- * exist for poison jobs too.
+ * The memoization key of a campaign job: the runner's jobKey() of its
+ * trace name and combo, computable for jobs that cannot be
+ * materialized (unknown trace), so queue artifacts exist for poison
+ * jobs too.
  */
 std::string keyOf(const CampaignJob &job, const ExperimentConfig &cfg);
 

@@ -237,42 +237,7 @@ Outcome
 runSingleCore(const TraceSpec &spec, const AttachFn &attach,
               const ExperimentConfig &cfg, const std::string &ckpt_key)
 {
-    SystemConfig sys_cfg = cfg.system;
-    sys_cfg.dram.channels = 1;  // Table II: 1 channel per 1-core
-
-    PreparedSystem p = prepareSystem(
-        [&] {
-            std::vector<GeneratorPtr> workloads;
-            workloads.push_back(makeWorkload(spec));
-            auto s = std::make_unique<System>(sys_cfg,
-                                              std::move(workloads));
-            attach(*s);
-            return s;
-        },
-        cfg, ckpt_key, warmKeyFor({spec}, cfg, sys_cfg));
-    System &sys = *p.sys;
-    const RunResult r = sys.run(cfg.warmupInstrs, cfg.simInstrs);
-    if (p.derived)
-        std::remove(p.savePath.c_str());
-    writeRunArtifacts(sys, cfg,
-                      ckpt_key.empty() ? spec.name : ckpt_key);
-
-    Outcome out;
-    out.ipc = r.cores[0].ipc;
-    out.instructions = r.cores[0].instructions;
-    out.cycles = r.cores[0].cycles;
-    out.l1i = sys.l1i(0).stats();
-    out.l1d = sys.l1d(0).stats();
-    out.l2 = sys.l2(0).stats();
-    out.llc = sys.llc().stats();
-    out.dram = sys.dram().stats();
-    out.dramBytes = sys.dram().bytesTransferred();
-    out.ticksExecuted = sys.perf().ticksExecuted;
-    out.skippedCycles = sys.perf().skippedCycles;
-    out.resumed = sys.resumed();
-    out.ckptCycle = sys.resumedAtCycle();
-    out.warmStart = sys.warmStart();
-    return out;
+    return runMix({spec}, attach, cfg, ckpt_key).system;
 }
 
 std::string
@@ -290,21 +255,27 @@ systemFingerprint(const SystemConfig &cfg)
     return buf;
 }
 
+std::string
+mixName(const std::vector<TraceSpec> &specs)
+{
+    std::string name;
+    for (const TraceSpec &s : specs)
+        name += (name.empty() ? "" : "+") + s.name;
+    return name;
+}
+
 MixOutcome
 runMix(const std::vector<TraceSpec> &specs, const AttachFn &attach,
        const ExperimentConfig &cfg, const std::string &ckpt_key)
 {
     SystemConfig sys_cfg = cfg.system;
-    sys_cfg.dram.channels = 2;  // Table II: 2 channels for multi-core
+    // Table II: 1 DRAM channel for a single core, 2 for multi-core.
+    sys_cfg.dram.channels = specs.size() > 1 ? 2 : 1;
 
     PreparedSystem p = prepareSystem(
         [&] {
-            std::vector<GeneratorPtr> workloads;
-            workloads.reserve(specs.size());
-            for (const TraceSpec &s : specs)
-                workloads.push_back(makeWorkload(s));
             auto sys = std::make_unique<System>(sys_cfg,
-                                                std::move(workloads));
+                                                makeWorkloads(specs));
             attach(*sys);
             return sys;
         },
@@ -313,11 +284,8 @@ runMix(const std::vector<TraceSpec> &specs, const AttachFn &attach,
     const RunResult r = sys.run(cfg.warmupInstrs, cfg.simInstrs);
     if (p.derived)
         std::remove(p.savePath.c_str());
-    writeRunArtifacts(sys, cfg,
-                      ckpt_key.empty() ? (specs.empty()
-                                              ? std::string()
-                                              : specs[0].name + "-mix")
-                                       : ckpt_key);
+    writeRunArtifacts(sys, cfg, ckpt_key.empty() ? mixName(specs)
+                                                 : ckpt_key);
 
     MixOutcome out;
     for (std::size_t c = 0; c < specs.size(); ++c) {

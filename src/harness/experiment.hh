@@ -33,8 +33,8 @@ struct ExperimentConfig
     std::uint64_t warmupInstrs = 100'000;
     std::uint64_t simInstrs = 1'000'000;
     unsigned mixes = 12;
-    SystemConfig system;  //!< base system (per-core DRAM channels set
-                          //!< by the runner)
+    SystemConfig system;  //!< base system (runMix sets the DRAM
+                          //!< channel count from the core count)
 
     /**
      * Crash-safe checkpointing (see DESIGN.md §5d). When ckptEvery is
@@ -172,10 +172,10 @@ struct Outcome
 };
 
 /**
- * Run one workload on a single-core Table II system. `ckpt_key`
- * (typically the runner's job key) names the run for key-derived
- * checkpointing; empty disables the derived path (explicit
- * ckptPath/resumePath still apply).
+ * Run one workload on a single-core Table II system: the one-core
+ * view of runMix. `ckpt_key` (typically the runner's job key) names
+ * the run for key-derived checkpointing; empty disables the derived
+ * path (explicit ckptPath/resumePath still apply).
  */
 Outcome runSingleCore(const TraceSpec &spec, const AttachFn &attach,
                       const ExperimentConfig &cfg,
@@ -202,7 +202,15 @@ struct MixOutcome
     Outcome system;
 };
 
-/** Run a mix (one workload per core) on an N-core system. */
+/** The trace names of a mix joined by '+' (one core: its name). */
+std::string mixName(const std::vector<TraceSpec> &specs);
+
+/**
+ * Run a mix (one workload per core) on an N-core Table II system:
+ * 1 DRAM channel for one core, 2 for more. Cores replaying one trace
+ * file share its decoded records. The stats JSON names the run
+ * `ckpt_key`, or mixName(specs) when that is empty.
+ */
 MixOutcome runMix(const std::vector<TraceSpec> &specs,
                   const AttachFn &attach, const ExperimentConfig &cfg,
                   const std::string &ckpt_key = {});

@@ -182,12 +182,18 @@ installSignalHandlers()
 }
 
 std::string
+jobKey(const std::string &trace, const std::string &label,
+       const ExperimentConfig &cfg)
+{
+    return trace + "|" + label + "|" + std::to_string(cfg.simInstrs) +
+           "|" + std::to_string(cfg.warmupInstrs) + "|" +
+           systemFingerprint(cfg.system);
+}
+
+std::string
 jobKey(const Job &job)
 {
-    return job.spec.name + "|" + job.label + "|" +
-           std::to_string(job.cfg.simInstrs) + "|" +
-           std::to_string(job.cfg.warmupInstrs) + "|" +
-           systemFingerprint(job.cfg.system);
+    return jobKey(job.spec.name, job.label, job.cfg);
 }
 
 /**
@@ -400,24 +406,117 @@ Runner::executeWithPolicy(const std::string &key, const Body &body,
     }
 }
 
+void
+Runner::beginBatch(std::size_t jobs)
+{
+    last_ = BatchStats{};
+    last_.threads = threads_;
+    last_.jobs = jobs;
+    last_.perJob.resize(jobs);
+}
+
+std::vector<MixJobOutcome>
+Runner::execute(const std::vector<MixJob> &jobs,
+                const std::vector<std::size_t> &slots,
+                const OnOkFn &on_ok)
+{
+    const std::size_t n = jobs.size();
+    last_.executed = n;
+    std::vector<MixJobOutcome> results(n);
+    std::atomic<std::size_t> completed{0};
+    WatchdogMonitor watchdog(jobTimeout_, n);
+    dispatch(n, [&](std::size_t e) {
+        const MixJob &job = jobs[e];
+        MixJobOutcome &out = results[e];
+        JobTiming &t = last_.perJob[slots[e]];
+        const auto start = Clock::now();
+        watchdog.beginJob(slots[e], t.key);
+        ExperimentConfig job_cfg = withJobStatsPath(job.cfg, t.key);
+        if (job_cfg.warmLabel.empty())
+            job_cfg.warmLabel = job.label;
+        executeWithPolicy(
+            t.key, [&] { return runMix(job.specs, job.attach, job_cfg,
+                                       t.key); },
+            out);
+        watchdog.endJob(slots[e]);
+        t.seconds = secondsSince(start);
+        if (out.ok) {
+            out.resumed = out.outcome.system.resumed;
+            out.ckptCycle = out.outcome.system.ckptCycle;
+            for (const std::uint64_t instrs : out.outcome.instructions)
+                t.instrs += instrs;
+            if (on_ok)
+                on_ok(e, out.outcome);
+        }
+        if (progress_) {
+            const std::size_t done = completed.fetch_add(1) + 1;
+            char head[64];
+            std::snprintf(head, sizeof(head), "[runner] %zu/%zu ", done,
+                          n);
+            char tail[32];
+            std::snprintf(tail, sizeof(tail), " %.2fs", t.seconds);
+            const std::string line =
+                head + mixName(job.specs) + "|" + job.label + tail +
+                (out.ok && out.outcome.system.warmStart ? " warm" : "") +
+                (out.ok ? "" : " FAILED");
+            std::lock_guard<std::mutex> lock(progressMutex);
+            std::cerr << line << "\n";
+        }
+    });
+
+    // A shutdown request leaves the tail of the batch untouched: those
+    // outcomes are still default-constructed (attempts == 0). Fail
+    // them explicitly so the batch summary and exit code report the
+    // truncation.
+    if (shutdownRequested()) {
+        for (MixJobOutcome &out : results) {
+            if (out.attempts == 0 && !out.ok) {
+                out.error =
+                    "interrupted: shutdown requested before this job "
+                    "ran";
+                ++last_.interrupted;
+            }
+        }
+    }
+
+    for (std::size_t e = 0; e < n; ++e) {
+        const MixJobOutcome &out = results[e];
+        const JobTiming &t = last_.perJob[slots[e]];
+        last_.busySeconds += t.seconds;
+        last_.simInstrs += t.instrs;
+        if (!out.ok) {
+            ++last_.failed;
+            if (out.timedOut)
+                ++last_.timedOut;
+            last_.failures.push_back(JobFailure{
+                slots[e], t.key, out.error, out.attempts, out.timedOut});
+        } else {
+            if (out.attempts > 1)
+                ++last_.retried;
+            if (out.resumed)
+                ++last_.resumed;
+            if (out.outcome.system.warmStart)
+                ++last_.warmStarts;
+        }
+    }
+    return results;
+}
+
 std::vector<JobOutcome>
 Runner::run(const std::vector<Job> &jobs, const FetchFn &fetch,
             const StoreFn &store)
 {
     const auto batch_start = Clock::now();
     const std::size_t n = jobs.size();
-
-    last_ = BatchStats{};
-    last_.threads = threads_;
-    last_.jobs = n;
-    last_.perJob.resize(n);
-
+    beginBatch(n);
     std::vector<JobOutcome> results(n);
 
     // Resolve the external cache and deduplicate by key up front so
-    // every simulation is dispatched at most once per batch.
+    // every simulation is dispatched at most once per batch; the
+    // rest run as one-core mixes.
     std::map<std::string, std::size_t> canonical;  // key -> index
     std::vector<std::size_t> exec;
+    std::vector<MixJob> mixes;
     std::vector<std::pair<std::size_t, std::size_t>> copies;
     for (std::size_t i = 0; i < n; ++i) {
         JobTiming &t = last_.perJob[i];
@@ -447,107 +546,49 @@ Runner::run(const std::vector<Job> &jobs, const FetchFn &fetch,
             continue;
         }
         exec.push_back(i);
+        mixes.push_back(MixJob{{jobs[i].spec}, jobs[i].label,
+                               jobs[i].attach, jobs[i].cfg});
     }
-    last_.executed = exec.size();
 
-    std::atomic<std::size_t> completed{0};
     std::atomic<std::size_t> store_failures{0};
-    WatchdogMonitor watchdog(jobTimeout_, exec.size());
-    dispatch(exec.size(), [&](std::size_t e) {
-        const std::size_t i = exec[e];
-        const Job &job = jobs[i];
-        JobTiming &t = last_.perJob[i];
-        const auto start = Clock::now();
-        watchdog.beginJob(i, t.key);
-        ExperimentConfig job_cfg = withJobStatsPath(job.cfg, t.key);
-        if (job_cfg.warmLabel.empty())
-            job_cfg.warmLabel = job.label;
-        executeWithPolicy(
-            t.key, [&] { return runSingleCore(job.spec, job.attach,
-                                              job_cfg, t.key); },
-            results[i]);
-        watchdog.endJob(i);
-        t.seconds = secondsSince(start);
-        if (results[i].ok) {
-            results[i].resumed = results[i].outcome.resumed;
-            results[i].ckptCycle = results[i].outcome.ckptCycle;
-            t.instrs = results[i].outcome.instructions;
-            if (store) {
-                // A store-hook failure loses a cache entry, not a
-                // computed result.
-                try {
-                    store(job, results[i].outcome);
-                    // Belt and braces: runSingleCore removed its own
-                    // derived checkpoint, but a parallel attempt of
-                    // the same key (another campaign worker) may have
-                    // left one since.
-                    removeStaleDerivedCheckpoint(job.cfg, t.key);
-                } catch (const std::exception &e) {
-                    store_failures.fetch_add(1);
-                    std::lock_guard<std::mutex> lock(progressMutex);
-                    std::cerr << "[runner] cache store failed for "
-                              << t.key << ": " << e.what() << "\n";
-                }
+    OnOkFn on_ok;
+    if (store) {
+        on_ok = [&](std::size_t e, const MixOutcome &out) {
+            const Job &job = jobs[exec[e]];
+            const std::string &key = last_.perJob[exec[e]].key;
+            // A store-hook failure loses a cache entry, not a
+            // computed result.
+            try {
+                store(job, out.system);
+                // Belt and braces: runMix removed its own derived
+                // checkpoint, but a parallel attempt of the same key
+                // (another campaign worker) may have left one since.
+                removeStaleDerivedCheckpoint(job.cfg, key);
+            } catch (const std::exception &e) {
+                store_failures.fetch_add(1);
+                std::lock_guard<std::mutex> lock(progressMutex);
+                std::cerr << "[runner] cache store failed for " << key
+                          << ": " << e.what() << "\n";
             }
-        }
-        if (progress_) {
-            const std::size_t done = completed.fetch_add(1) + 1;
-            char line[192];
-            std::snprintf(line, sizeof(line),
-                          "[runner] %zu/%zu %s|%s %.2fs%s%s", done,
-                          exec.size(), job.spec.name.c_str(),
-                          job.label.c_str(), t.seconds,
-                          results[i].ok && results[i].outcome.warmStart
-                              ? " warm"
-                              : "",
-                          results[i].ok ? "" : " FAILED");
-            std::lock_guard<std::mutex> lock(progressMutex);
-            std::cerr << line << "\n";
-        }
-    });
-
-    // A shutdown request leaves the tail of `exec` untouched: those
-    // outcomes are still default-constructed (attempts == 0). Fail
-    // them explicitly so the batch summary and exit code report the
-    // truncation.
-    if (shutdownRequested()) {
-        for (const std::size_t i : exec) {
-            if (results[i].attempts == 0 && !results[i].ok) {
-                results[i].error =
-                    "interrupted: shutdown requested before this job "
-                    "ran";
-                ++last_.interrupted;
-            }
-        }
+        };
+    }
+    std::vector<MixJobOutcome> ran = execute(mixes, exec, on_ok);
+    for (std::size_t e = 0; e < exec.size(); ++e) {
+        MixJobOutcome &m = ran[e];
+        results[exec[e]] = JobOutcome{
+            std::move(m.outcome.system), m.ok, std::move(m.error),
+            m.attempts, m.timedOut, m.resumed, m.ckptCycle};
     }
 
-    // Fan results out to deduplicated submissions (including
-    // failures: a copy of a failed job fails identically). Sources
-    // are always earlier canonical indices, so they are resolved.
-    for (const auto &[dst, src] : copies)
+    // Fan results out to deduplicated submissions: a copy of a failed
+    // job fails identically. Sources are always earlier canonical
+    // indices, so they are resolved.
+    for (const auto &[dst, src] : copies) {
         results[dst] = results[src];
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const JobTiming &t = last_.perJob[i];
-        last_.busySeconds += t.seconds;
-        if (!t.cached && !t.deduped)
-            last_.simInstrs += t.instrs;
-        if (!results[i].ok) {
+        if (!results[dst].ok) {
             ++last_.failed;
-            if (results[i].timedOut)
+            if (results[dst].timedOut)
                 ++last_.timedOut;
-            if (!t.deduped)
-                last_.failures.push_back(
-                    JobFailure{i, t.key, results[i].error,
-                               results[i].attempts,
-                               results[i].timedOut});
-        } else {
-            if (results[i].attempts > 1)
-                ++last_.retried;
-            if (results[i].resumed)
-                ++last_.resumed;
-            if (results[i].outcome.warmStart && !t.cached && !t.deduped)
-                ++last_.warmStarts;
         }
     }
     last_.storeFailures = store_failures.load();
@@ -559,82 +600,14 @@ std::vector<MixJobOutcome>
 Runner::runMixes(const std::vector<MixJob> &jobs)
 {
     const auto batch_start = Clock::now();
-    const std::size_t n = jobs.size();
-
-    last_ = BatchStats{};
-    last_.threads = threads_;
-    last_.jobs = n;
-    last_.executed = n;
-    last_.perJob.resize(n);
-
-    std::vector<MixJobOutcome> results(n);
-    std::atomic<std::size_t> completed{0};
-    WatchdogMonitor watchdog(jobTimeout_, n);
-    dispatch(n, [&](std::size_t i) {
-        const MixJob &job = jobs[i];
-        JobTiming &t = last_.perJob[i];
-        t.key = job.label;
-        const auto start = Clock::now();
-        watchdog.beginJob(i, t.key);
-        ExperimentConfig job_cfg = withJobStatsPath(job.cfg, t.key);
-        if (job_cfg.warmLabel.empty())
-            job_cfg.warmLabel = job.label;
-        executeWithPolicy(
-            t.key, [&] { return runMix(job.specs, job.attach,
-                                       job_cfg, t.key); },
-            results[i]);
-        watchdog.endJob(i);
-        t.seconds = secondsSince(start);
-        if (results[i].ok) {
-            results[i].resumed = results[i].outcome.system.resumed;
-            results[i].ckptCycle = results[i].outcome.system.ckptCycle;
-            for (const std::uint64_t instrs :
-                 results[i].outcome.instructions)
-                t.instrs += instrs;
-        }
-        if (progress_) {
-            const std::size_t done = completed.fetch_add(1) + 1;
-            char line[192];
-            std::snprintf(line, sizeof(line),
-                          "[runner] %zu/%zu mix:%s %.2fs%s", done, n,
-                          job.label.c_str(), t.seconds,
-                          results[i].ok ? "" : " FAILED");
-            std::lock_guard<std::mutex> lock(progressMutex);
-            std::cerr << line << "\n";
-        }
-    });
-
-    if (shutdownRequested()) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (results[i].attempts == 0 && !results[i].ok) {
-                results[i].error =
-                    "interrupted: shutdown requested before this job "
-                    "ran";
-                ++last_.interrupted;
-            }
-        }
+    beginBatch(jobs.size());
+    std::vector<std::size_t> slots(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        slots[i] = i;
+        last_.perJob[i].key =
+            jobKey(mixName(jobs[i].specs), jobs[i].label, jobs[i].cfg);
     }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const JobTiming &t = last_.perJob[i];
-        last_.busySeconds += t.seconds;
-        last_.simInstrs += t.instrs;
-        if (!results[i].ok) {
-            ++last_.failed;
-            if (results[i].timedOut)
-                ++last_.timedOut;
-            last_.failures.push_back(
-                JobFailure{i, t.key, results[i].error,
-                           results[i].attempts, results[i].timedOut});
-        } else {
-            if (results[i].attempts > 1)
-                ++last_.retried;
-            if (results[i].resumed)
-                ++last_.resumed;
-            if (results[i].outcome.system.warmStart)
-                ++last_.warmStarts;
-        }
-    }
+    std::vector<MixJobOutcome> results = execute(jobs, slots, {});
     last_.wallSeconds = secondsSince(batch_start);
     return results;
 }

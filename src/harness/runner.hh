@@ -65,10 +65,15 @@ struct MixJob
 };
 
 /**
- * The memoization key of a job: trace, combo label, run lengths and
- * the system fingerprint. Shared by the runner's in-batch dedup and
- * the bench disk cache so the two never disagree.
+ * The memoization key of a run: trace, combo label, run lengths and
+ * the system fingerprint. The one definition behind the runner's
+ * in-batch dedup, the bench disk cache and campaign cells, so they
+ * never disagree. A mix's trace is its mixName().
  */
+std::string jobKey(const std::string &trace, const std::string &label,
+                   const ExperimentConfig &cfg);
+
+/** The jobKey of a single-core job. */
 std::string jobKey(const Job &job);
 
 // --- graceful shutdown --------------------------------------------------
@@ -94,10 +99,11 @@ void clearShutdownRequest();
  *  same kind falls through to the default (immediate) disposition. */
 void installSignalHandlers();
 
-/** Final state of one submitted single-core job. */
-struct JobOutcome
+/** Final state of one submitted job. */
+template <typename T>
+struct JobResult
 {
-    Outcome outcome;         //!< valid only when ok
+    T outcome;               //!< valid only when ok
     bool ok = false;
     std::string error;       //!< why the job failed (empty when ok)
     unsigned attempts = 0;   //!< simulation attempts (0 = cache/dedup)
@@ -106,17 +112,8 @@ struct JobOutcome
     Cycle ckptCycle = 0;     //!< cycle of the resumed checkpoint
 };
 
-/** Final state of one submitted mix job. */
-struct MixJobOutcome
-{
-    MixOutcome outcome;
-    bool ok = false;
-    std::string error;
-    unsigned attempts = 0;
-    bool timedOut = false;
-    bool resumed = false;
-    Cycle ckptCycle = 0;
-};
+using JobOutcome = JobResult<Outcome>;
+using MixJobOutcome = JobResult<MixOutcome>;
 
 /** One failed job, for the batch summary. */
 struct JobFailure
@@ -214,15 +211,33 @@ class Runner
                                 const FetchFn &fetch = {},
                                 const StoreFn &store = {});
 
-    /** Execute a batch of mix jobs (no dedup/caching: mixes are
-     *  one-shot in every bench). Deterministic order and per-job
-     *  failure containment as above. */
+    /** Execute a batch of mix jobs, each keyed by jobKey() over its
+     *  mixName() (no dedup/caching: mixes are one-shot in every
+     *  bench). Deterministic order and per-job failure containment
+     *  as above. */
     std::vector<MixJobOutcome> runMixes(const std::vector<MixJob> &jobs);
 
     /** Accounting for the most recent run()/runMixes() batch. */
     const BatchStats &lastBatch() const { return last_; }
 
   private:
+    /** Reset lastBatch() for a batch of `jobs` submissions. */
+    void beginBatch(std::size_t jobs);
+
+    /** Called on a worker thread with each successful job's index. */
+    using OnOkFn = std::function<void(std::size_t, const MixOutcome &)>;
+
+    /**
+     * The one execution loop under run() and runMixes(): simulate
+     * jobs[e] through runMix as batch slot slots[e], keyed by
+     * lastBatch().perJob[slots[e]].key, with the watchdog, stats
+     * path, progress lines, shutdown handling and failure
+     * accounting. Returns the outcomes in `jobs` order.
+     */
+    std::vector<MixJobOutcome> execute(const std::vector<MixJob> &jobs,
+                                       const std::vector<std::size_t> &slots,
+                                       const OnOkFn &on_ok);
+
     template <typename Task>
     void dispatch(std::size_t count, const Task &task);
 

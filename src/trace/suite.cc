@@ -1,5 +1,7 @@
 #include "trace/suite.hh"
 
+#include <map>
+#include <memory>
 #include <stdexcept>
 
 #include "trace/trace_io.hh"
@@ -208,6 +210,23 @@ fileTraceSpec(const std::string &path)
     return spec;
 }
 
+namespace
+{
+
+/** Decode the file a File spec names; throws on a bad file. */
+SharedTraceRecords
+decodeFile(const TraceSpec &spec)
+{
+    Result<std::vector<TraceRecord>> records = readTraceRecords(
+        isFileTrace(spec.name) ? spec.name.substr(5) : spec.name);
+    if (!records.ok())
+        throw ErrorException(records.error());
+    return std::make_shared<const std::vector<TraceRecord>>(
+        records.take());
+}
+
+} // namespace
+
 GeneratorPtr
 makeWorkload(const TraceSpec &spec)
 {
@@ -310,17 +329,30 @@ makeWorkload(const TraceSpec &spec)
         return std::make_unique<InterleaveGen>(spec.name, spec.seed,
                                                std::move(kids), weights);
       }
-      case Archetype::File: {
-        const std::string path =
-            isFileTrace(spec.name) ? spec.name.substr(5) : spec.name;
-        Result<std::unique_ptr<TraceFileGenerator>> gen =
-            TraceFileGenerator::load(path, spec.name);
-        if (!gen.ok())
-            throw ErrorException(gen.error());
-        return gen.take();
-      }
+      case Archetype::File:
+        return std::make_unique<TraceFileGenerator>(spec.name,
+                                                    decodeFile(spec));
     }
     throw std::logic_error("unhandled archetype");
+}
+
+std::vector<GeneratorPtr>
+makeWorkloads(const std::vector<TraceSpec> &specs)
+{
+    std::map<std::string, SharedTraceRecords> files;
+    std::vector<GeneratorPtr> out;
+    out.reserve(specs.size());
+    for (const TraceSpec &s : specs) {
+        if (s.archetype != Archetype::File) {
+            out.push_back(makeWorkload(s));
+            continue;
+        }
+        SharedTraceRecords &records = files[s.name];
+        if (!records)
+            records = decodeFile(s);
+        out.push_back(std::make_unique<TraceFileGenerator>(s.name, records));
+    }
+    return out;
 }
 
 const TraceSpec *

@@ -35,8 +35,7 @@ enum class Archetype
     TiledStream,     //!< CNN/RNN-like
     MixedRegular,    //!< phased CS + GS (wrf/roms-like)
     IrregularLight,  //!< xalancbmk/xz-like moderate irregularity
-    File,            //!< captured trace file, replayed through the
-                     //!< shared decoded-trace pool (DESIGN.md §5h)
+    File,            //!< captured trace file ("file:<path>")
 };
 
 /** Specification of one named workload stand-in. */
@@ -78,6 +77,13 @@ TraceSpec fileTraceSpec(const std::string &path);
 
 /** Instantiate the generator for a spec. */
 GeneratorPtr makeWorkload(const TraceSpec &spec);
+
+/**
+ * Instantiate one generator per spec. Specs naming the same trace
+ * file decode it once and replay the shared records, each through
+ * its own cursor.
+ */
+std::vector<GeneratorPtr> makeWorkloads(const std::vector<TraceSpec> &specs);
 
 /**
  * Instantiate a workload by name, searching all suites.

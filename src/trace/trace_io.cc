@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -127,21 +128,27 @@ readTraceRecords(const std::string &path)
                              " bytes) but file has " +
                              std::to_string(file_bytes));
 
-    // Bulk-read the whole payload in one fread, then decode in place:
-    // the per-record syscall/locking overhead dominated load time for
-    // multi-million-record traces. (The `trace.read` fault-injection
-    // point stays at the top of this function, covering the read as a
-    // whole.)
-    const std::uint64_t payload_bytes = count * kRecordBytes;
-    std::vector<unsigned char> raw(payload_bytes);
-    if (std::fread(raw.data(), 1, payload_bytes, f.get()) !=
-        payload_bytes)
-        return makeError(Errc::io,
-                         "trace payload read failed: " + path, true);
-
-    std::vector<TraceRecord> records(count);
-    for (std::uint64_t i = 0; i < count; ++i)
-        decode(raw.data() + i * kRecordBytes, records[i]);
+    // Read the payload in fixed chunks and decode each straight into
+    // the reserved record vector: no second whole-file buffer, and no
+    // value-initialised records that are overwritten at once. (The
+    // `trace.read` fault-injection point stays at the top of this
+    // function, covering the read as a whole.)
+    constexpr std::uint64_t kChunkRecords = 4096;
+    std::vector<TraceRecord> records;
+    records.reserve(count);
+    std::vector<unsigned char> raw(kChunkRecords * kRecordBytes);
+    TraceRecord r;
+    for (std::uint64_t left = count; left > 0;) {
+        const std::uint64_t n = std::min(left, kChunkRecords);
+        if (std::fread(raw.data(), kRecordBytes, n, f.get()) != n)
+            return makeError(Errc::io,
+                             "trace payload read failed: " + path, true);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            decode(raw.data() + i * kRecordBytes, r);
+            records.push_back(r);
+        }
+        left -= n;
+    }
     bumpProgressEpoch();  // a decode is forward progress, not a stall
     return records;
 }

@@ -54,13 +54,31 @@ TEST(BenchUtil, RunIsDiskCachedAndStable)
     ExperimentConfig cfg;
     cfg.simInstrs = 30'000;
     cfg.warmupInstrs = 5'000;
-    const TraceSpec &spec = findTrace("641.leela_s-149B");
-    const Combo none = namedCombo("none");
+    const std::vector<TraceSpec> traces{findTrace("641.leela_s-149B"),
+                                        findTrace("619.lbm_s-2676B")};
+    const std::vector<Combo> combos{namedCombo("none"),
+                                    namedCombo("ipcp")};
 
-    const Outcome a = run(spec, none.label, none.attach, cfg);
-    const Outcome b = run(spec, none.label, none.attach, cfg);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.instructions, b.instructions);
+    const auto first = runBatch(traces, combos, cfg);
+    const auto second = runBatch(traces, combos, cfg);
+    EXPECT_EQ(runner().lastBatch().cached, 4u);
+    EXPECT_EQ(runner().lastBatch().executed, 0u);
+    ASSERT_EQ(second.size(), combos.size());
+    for (std::size_t c = 0; c < combos.size(); ++c) {
+        ASSERT_EQ(second[c].size(), traces.size());
+        for (std::size_t t = 0; t < traces.size(); ++t) {
+            ASSERT_TRUE(first[c][t].ok) << first[c][t].error;
+            ASSERT_TRUE(second[c][t].ok) << second[c][t].error;
+            const Outcome &a = first[c][t].outcome;
+            const Outcome &b = second[c][t].outcome;
+            EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
+            EXPECT_EQ(a.instructions, b.instructions);
+            EXPECT_EQ(a.cycles, b.cycles);
+            EXPECT_EQ(a.l1d.demandMisses(), b.l1d.demandMisses());
+            EXPECT_EQ(a.l1d.pfUseful, b.l1d.pfUseful);
+            EXPECT_EQ(a.dramBytes, b.dramBytes);
+        }
+    }
 }
 
 TEST(BenchUtil, SensitivitySubsetIsValid)

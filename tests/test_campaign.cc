@@ -247,6 +247,10 @@ TEST_F(CampaignTest, KeyOfMatchesRunnerJobKey)
         ASSERT_TRUE(job.ok());
         EXPECT_EQ(keyOf(cell, cfg), jobKey(job.value()));
     }
+    // Existing campaign roots are filed under this exact key format.
+    EXPECT_EQ(jobKey("603.bwaves_s-891B", "ipcp", ExperimentConfig{}),
+              "603.bwaves_s-891B|ipcp|1000000|100000|"
+              "s64x12.1024x8.2048x16.64x8.m16.32.p8.16.d1.20.r0");
 
     Result<Job> poison =
         materialize(CampaignJob{"no.such_trace-0B", "ipcp"}, cfg);

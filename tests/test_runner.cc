@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "common/stateio.hh"
 #include "harness/runner.hh"
 #include "tests/test_support.hh"
 
@@ -82,6 +83,72 @@ fakeOutcome(double ipc)
     o.cycles = 500;
     o.dramBytes = 4096;
     return o;
+}
+
+/** Every Outcome field, as the bytes a campaign done file stores. */
+std::vector<std::uint8_t>
+outcomeBytes(Outcome o)
+{
+    StateIO io = StateIO::writer();
+    io.io(o);
+    return io.takeBuffer();
+}
+
+void
+expectSameMix(const MixOutcome &a, const MixOutcome &b)
+{
+    EXPECT_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.traces, b.traces);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(outcomeBytes(a.system), outcomeBytes(b.system));
+}
+
+TEST(Experiment, OneCoreMixEqualsSingleCore)
+{
+    const ExperimentConfig cfg = tinyConfig();
+    const TraceSpec &spec = findTrace("603.bwaves_s-891B");
+    for (const char *combo : {"none", "ipcp"}) {
+        SCOPED_TRACE(combo);
+        const MixOutcome mix = runMix({spec}, comboAttach(combo), cfg);
+        const Outcome single =
+            runSingleCore(spec, comboAttach(combo), cfg);
+        ASSERT_EQ(mix.ipc.size(), 1u);
+        EXPECT_EQ(mix.ipc[0], single.ipc);
+        EXPECT_EQ(mix.instructions[0], single.instructions);
+        EXPECT_EQ(mix.cycles[0], single.cycles);
+        EXPECT_EQ(outcomeBytes(mix.system), outcomeBytes(single));
+        EXPECT_GT(single.dram.reads, 0u);
+    }
+}
+
+TEST(Runner, MixBatchMatchesDirectRunMix)
+{
+    const ExperimentConfig cfg = tinyConfig();
+    const TraceSpec &a = findTrace("603.bwaves_s-891B");
+    const TraceSpec &b = findTrace("605.mcf_s-994B");
+    std::vector<MixJob> jobs;
+    std::vector<MixOutcome> direct;
+    for (const std::vector<TraceSpec> &specs :
+         {std::vector<TraceSpec>{a}, std::vector<TraceSpec>{a, b, a, b}}) {
+        for (const char *combo : {"none", "ipcp"}) {
+            jobs.push_back(MixJob{specs, combo, comboAttach(combo), cfg});
+            direct.push_back(runMix(specs, comboAttach(combo), cfg));
+        }
+    }
+
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        Runner r(threads);
+        const std::vector<MixJobOutcome> outs = r.runMixes(jobs);
+        ASSERT_EQ(outs.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            ASSERT_TRUE(outs[i].ok) << outs[i].error;
+            expectSameMix(outs[i].outcome, direct[i]);
+        }
+        EXPECT_EQ(r.lastBatch().executed, jobs.size());
+        EXPECT_EQ(r.lastBatch().failed, 0u);
+    }
 }
 
 TEST(Runner, ParallelMatchesSerialBitForBit)

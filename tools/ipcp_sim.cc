@@ -13,10 +13,10 @@
  * Prints a ChampSim-style end-of-run report: IPC, per-level cache
  * stats, prefetcher effectiveness per class, DRAM traffic.
  *
- * `--combo` accepts a comma-separated list; the runs are batch-
- * submitted through the parallel runner (IPCP_JOBS worker threads)
- * and reported in order, with per-job wall time and aggregate
- * throughput on stderr.
+ * `--combo` accepts a comma-separated list. Every run, of a named
+ * or a recorded trace on any core count, is one job of a batch on
+ * the parallel runner (IPCP_JOBS worker threads), reported in order,
+ * with per-job wall time and aggregate throughput on stderr.
  */
 
 #include <cstdlib>
@@ -31,7 +31,6 @@
 #include "harness/experiment.hh"
 #include "harness/factory.hh"
 #include "harness/runner.hh"
-#include "harness/statsjson.hh"
 #include "harness/table.hh"
 #include "ipcp/metadata.hh"
 #include "trace/suite.hh"
@@ -303,6 +302,10 @@ main(int argc, char **argv)
             usage();
             return 2;
         }
+        if (cores == 0) {
+            std::cerr << "--cores wants at least 1\n";
+            return 2;
+        }
 
         // `--combo a,b,c` batches one job per combination; bare `k=v`
         // segments continue a preceding parameterized `ipcp:` combo.
@@ -344,242 +347,86 @@ main(int argc, char **argv)
             return c;
         };
 
-        auto report_system = [&](const Outcome &o) {
-            printCacheReport("L1I ", o.l1i, o.instructions);
-            printCacheReport("L1D ", o.l1d, o.instructions);
-            printCacheReport("L2  ", o.l2, o.instructions);
-            printCacheReport("LLC ", o.llc, o.instructions);
-            std::cout << "DRAM: reads " << o.dram.reads << " writes "
-                      << o.dram.writes << " row-hit rate "
-                      << TablePrinter::num(
-                             ratio(o.dram.rowHits,
-                                   o.dram.rowHits + o.dram.rowMisses),
-                             2)
-                      << " bytes " << o.dramBytes << "\n";
-        };
-        auto banner = [&](const std::string &name) {
-            std::cout << "workload: "
-                      << (!trace_file.empty() ? trace_file : trace_name)
-                      << "  combo: " << name << "  cores: " << cores
-                      << "\nsimulating " << cfg.warmupInstrs
-                      << " warmup + " << cfg.simInstrs
-                      << " measured instructions...\n\n";
-        };
-
-        std::size_t ok_jobs = 0;
-        std::size_t failed_jobs = 0;
-        // Exit-code contract: 0 on full or partial success, 1 when
-        // every job failed or --strict saw any failure.
-        auto finish = [&]() {
-            if (failed_jobs == 0)
-                return 0;
-            return (strict || ok_jobs == 0) ? 1 : 0;
-        };
-
-        if (!trace_file.empty()) {
-            // Recorded traces aren't named specs the runner can
-            // re-instantiate per worker; replay them directly. The
-            // file is decoded once and every core of every combo
-            // replays those records through its own cursor. A bad
-            // trace file fails every combo; a bad combo fails its own
-            // run only.
-            Result<std::vector<TraceRecord>> decoded =
-                readTraceRecords(trace_file);
-            SharedTraceRecords shared;
-            if (decoded.ok())
-                shared = std::make_shared<const std::vector<TraceRecord>>(
-                    decoded.take());
-            for (const std::string &name : combo_names) {
-                SystemConfig sys_cfg = cfg.system;
-                sys_cfg.dram.channels = cores > 1 ? 2 : 1;
-                if (!decoded.ok()) {
-                    std::cerr << "error: combo " << name << ": "
-                              << decoded.error().message << " ["
-                              << errcName(decoded.error().code) << "]\n";
-                    ++failed_jobs;
-                    continue;
-                }
-                std::vector<GeneratorPtr> workloads;
-                for (unsigned c = 0; c < cores; ++c)
-                    workloads.push_back(
-                        std::make_unique<TraceFileGenerator>(trace_file,
-                                                             shared));
-                System sys(sys_cfg, std::move(workloads));
-                if (Status s = tryApplyCombo(sys, name); !s.ok()) {
-                    std::cerr << "error: " << s.error().message << "\n";
-                    ++failed_jobs;
-                    continue;
-                }
-                if (!cfg.resumePath.empty()) {
-                    if (Status s = sys.loadCheckpoint(cfg.resumePath);
-                        !s.ok()) {
-                        std::cerr << "error: resume from "
-                                  << cfg.resumePath << ": "
-                                  << s.error().message << " ["
-                                  << errcName(s.error().code) << "]\n";
-                        ++failed_jobs;
-                        continue;
-                    }
-                    std::cerr << "[ckpt] resumed from "
-                              << cfg.resumePath << " at cycle "
-                              << sys.cycle() << "\n";
-                }
-                if (!cfg.ckptPath.empty())
-                    sys.setCheckpointEvery(cfg.ckptEvery, cfg.ckptPath);
-                if (!trace_events.empty())
-                    sys.enableTracing(cfg.traceCapacity);
-                TickTimes split;
-                if (perf)
-                    sys.timeTicks(&split);
-                banner(name);
-                WallTimer timer;
-                const RunResult r =
-                    sys.run(cfg.warmupInstrs, cfg.simInstrs);
-                if (perf) {
-                    std::uint64_t instrs = 0;
-                    for (unsigned c = 0; c < cores; ++c)
-                        instrs += r.cores[c].instructions;
-                    printPerfReport(name, timer.seconds(), instrs,
-                                    sys.perf().ticksExecuted,
-                                    sys.perf().skippedCycles, split);
-                }
-                for (unsigned c = 0; c < cores; ++c) {
-                    std::cout << "core " << c << ": IPC "
-                              << TablePrinter::num(r.cores[c].ipc)
-                              << " (" << r.cores[c].instructions
-                              << " instructions, " << r.cores[c].cycles
-                              << " cycles)\n";
-                }
-                std::cout << "\n";
-                Outcome o;
-                o.instructions = r.cores[0].instructions;
-                o.l1i = sys.l1i(0).stats();
-                o.l1d = sys.l1d(0).stats();
-                o.l2 = sys.l2(0).stats();
-                o.llc = sys.llc().stats();
-                o.dram = sys.dram().stats();
-                o.dramBytes = sys.dram().bytesTransferred();
-                report_system(o);
-                if (!stats_json.empty()) {
-                    if (Status s = writeSystemStatsJson(
-                            sys, per_combo(stats_json, name),
-                            trace_file + "|" + name);
-                        !s.ok())
-                        std::cerr << "warning: stats JSON export "
-                                     "failed: "
-                                  << s.error().message << "\n";
-                }
-                if (!trace_events.empty()) {
-                    if (Status s = writeTraceEvents(
-                            sys, per_combo(trace_events, name));
-                        !s.ok())
-                        std::cerr << "warning: trace export failed: "
-                                  << s.error().message << "\n";
-                }
-                ++ok_jobs;
-            }
-            return finish();
-        }
-
-        const TraceSpec &spec = findTrace(trace_name);
+        // Every run is one batch of `cores`-core mixes, one job per
+        // combo. A bad trace file fails every combo; a bad combo
+        // fails its own run only.
+        const TraceSpec spec = trace_file.empty() ? findTrace(trace_name)
+                                                  : fileTraceSpec(trace_file);
         Runner runner;
         // --perf: each job's tick split, reset by every attempt.
         std::vector<TickTimes> splits(combo_names.size());
-        auto attach_for = [&](const std::string &name,
-                              std::size_t j) -> AttachFn {
+        std::vector<MixJob> jobs;
+        for (std::size_t j = 0; j < combo_names.size(); ++j) {
+            const std::string &name = combo_names[j];
             TickTimes *split = perf ? &splits[j] : nullptr;
-            return [name, split](System &s) {
+            AttachFn attach = [name, split](System &s) {
                 applyCombo(s, name);
                 if (split != nullptr) {
                     *split = TickTimes{};
                     s.timeTicks(split);
                 }
             };
-        };
+            jobs.push_back(MixJob{std::vector<TraceSpec>(cores, spec), name,
+                                  std::move(attach), cfg_for(name)});
+        }
+        const std::vector<MixJobOutcome> outs = runner.runMixes(jobs);
 
-        if (cores == 1) {
-            std::vector<Job> jobs;
-            for (std::size_t j = 0; j < combo_names.size(); ++j) {
-                const std::string &name = combo_names[j];
-                jobs.push_back(
-                    Job{spec, name, attach_for(name, j), cfg_for(name)});
+        std::size_t ok_jobs = 0;
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const MixJobOutcome &jo = outs[j];
+            if (!jo.ok) {
+                std::cerr << "error: combo " << jobs[j].label
+                          << " failed after " << jo.attempts
+                          << " attempt(s): " << jo.error << "\n";
+                continue;
             }
-            const std::vector<JobOutcome> outs = runner.run(jobs);
-            for (std::size_t j = 0; j < jobs.size(); ++j) {
-                const JobOutcome &jo = outs[j];
-                if (!jo.ok) {
-                    std::cerr << "error: combo " << jobs[j].label
-                              << " failed after " << jo.attempts
-                              << " attempt(s): " << jo.error << "\n";
-                    ++failed_jobs;
-                    continue;
-                }
-                ++ok_jobs;
-                const Outcome &o = jo.outcome;
-                if (jo.resumed)
-                    std::cerr << "[ckpt] resumed from cycle "
-                              << jo.ckptCycle << "\n";
-                if (perf)
-                    printPerfReport(jobs[j].label,
-                                    runner.lastBatch().perJob[j].seconds,
-                                    o.instructions, o.ticksExecuted,
-                                    o.skippedCycles, splits[j]);
-                banner(jobs[j].label);
-                std::cout << "core 0: IPC " << TablePrinter::num(o.ipc)
-                          << " (" << o.instructions << " instructions, "
-                          << o.cycles << " cycles)\n\n";
-                report_system(o);
-                if (j + 1 < jobs.size())
-                    std::cout << "\n";
+            const MixOutcome &o = jo.outcome;
+            if (jo.resumed)
+                std::cerr << "[ckpt] resumed from cycle " << jo.ckptCycle
+                          << "\n";
+            if (perf) {
+                std::uint64_t instrs = 0;
+                for (std::uint64_t i : o.instructions)
+                    instrs += i;
+                printPerfReport(jobs[j].label,
+                                runner.lastBatch().perJob[j].seconds,
+                                instrs, o.system.ticksExecuted,
+                                o.system.skippedCycles, splits[j]);
             }
-        } else {
-            const std::vector<TraceSpec> specs(cores, spec);
-            std::vector<MixJob> jobs;
-            for (std::size_t j = 0; j < combo_names.size(); ++j) {
-                const std::string &name = combo_names[j];
-                jobs.push_back(MixJob{specs, name, attach_for(name, j),
-                                      cfg_for(name)});
+            ++ok_jobs;
+            std::cout << "workload: "
+                      << (!trace_file.empty() ? trace_file : trace_name)
+                      << "  combo: " << jobs[j].label << "  cores: "
+                      << cores << "\nsimulating " << cfg.warmupInstrs
+                      << " warmup + " << cfg.simInstrs
+                      << " measured instructions...\n\n";
+            for (unsigned c = 0; c < cores; ++c) {
+                std::cout << "core " << c << ": IPC "
+                          << TablePrinter::num(o.ipc[c]) << " ("
+                          << o.instructions[c] << " instructions, "
+                          << o.cycles[c] << " cycles)\n";
             }
-            const std::vector<MixJobOutcome> outs =
-                runner.runMixes(jobs);
-            for (std::size_t j = 0; j < jobs.size(); ++j) {
-                const MixJobOutcome &jo = outs[j];
-                if (!jo.ok) {
-                    std::cerr << "error: combo " << jobs[j].label
-                              << " failed after " << jo.attempts
-                              << " attempt(s): " << jo.error << "\n";
-                    ++failed_jobs;
-                    continue;
-                }
-                ++ok_jobs;
-                const MixOutcome &o = jo.outcome;
-                if (jo.resumed)
-                    std::cerr << "[ckpt] resumed from cycle "
-                              << jo.ckptCycle << "\n";
-                if (perf) {
-                    std::uint64_t instrs = 0;
-                    for (std::uint64_t i : o.instructions)
-                        instrs += i;
-                    printPerfReport(jobs[j].label,
-                                    runner.lastBatch().perJob[j].seconds,
-                                    instrs, o.system.ticksExecuted,
-                                    o.system.skippedCycles, splits[j]);
-                }
-                banner(jobs[j].label);
-                for (unsigned c = 0; c < cores; ++c) {
-                    std::cout << "core " << c << ": IPC "
-                              << TablePrinter::num(o.ipc[c]) << " ("
-                              << o.instructions[c] << " instructions, "
-                              << o.cycles[c] << " cycles)\n";
-                }
+            std::cout << "\n";
+            const Outcome &sys = o.system;
+            printCacheReport("L1I ", sys.l1i, sys.instructions);
+            printCacheReport("L1D ", sys.l1d, sys.instructions);
+            printCacheReport("L2  ", sys.l2, sys.instructions);
+            printCacheReport("LLC ", sys.llc, sys.instructions);
+            std::cout << "DRAM: reads " << sys.dram.reads << " writes "
+                      << sys.dram.writes << " row-hit rate "
+                      << TablePrinter::num(
+                             ratio(sys.dram.rowHits,
+                                   sys.dram.rowHits + sys.dram.rowMisses),
+                             2)
+                      << " bytes " << sys.dramBytes << "\n";
+            if (j + 1 < jobs.size())
                 std::cout << "\n";
-                report_system(o.system);
-                if (j + 1 < jobs.size())
-                    std::cout << "\n";
-            }
         }
         runner.lastBatch().print(std::cerr);
-        return finish();
+        // Exit-code contract: 0 on full or partial success, 1 when
+        // every job failed or --strict saw any failure.
+        const bool failed = ok_jobs < jobs.size();
+        return failed && (strict || ok_jobs == 0) ? 1 : 0;
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -345,11 +345,11 @@ class Cache : public ReqSink, public RespTarget, public Clocked,
      */
     void flushEgress();
 
-    // --- freeze groups (multi-core sparse ticking) ---------------------
+    // --- freeze groups (sparse ticking) ---------------------------------
 
     /**
      * Thaw `group` before every response delivered to this cache. The
-     * System sets it on each private L2 of a multi-core machine: the
+     * System sets it on each private L2 while skipping is on: the
      * LLC's response is the only way into a core's cluster from
      * outside (DESIGN.md §5c).
      */

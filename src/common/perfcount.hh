@@ -33,7 +33,7 @@ struct PerfCounters
     std::uint64_t skippedCycles = 0;
     /**
      * Per-core cluster ticks that ran and that were left frozen on
-     * executed ticks (multi-core only, DESIGN.md §5c). Not
+     * executed ticks (skipping on, DESIGN.md §5c). Not
      * checkpointed: a resumed run counts from its resume point.
      */
     std::uint64_t clusterTicks = 0;
@@ -75,13 +75,13 @@ struct PerfCounters
  * Where executed-tick time goes, by component kind (`ipcp_sim
  * --perf`). System::timeTicks samples one executed tick in 64 with
  * steady_clock, adding each part's host nanoseconds here; `Wakeup`
- * is the next-wakeup scan (on several cores, with the recompute of
- * each ticked cluster's wakeup) plus the skip that follows the
- * sampled tick. A frozen cluster is not timed: it adds to `frozen`
- * instead of to the L2, L1D, L1I and core laps. A clock read costs
- * about as much as a component's tick, so every lap is charged net
- * of one read (`clockNs`). Host-side only: never serialized and
- * never in stats JSON.
+ * is the next-wakeup scan (with the recompute of each ticked
+ * cluster's wakeup) plus the skip that follows the sampled tick. A
+ * frozen cluster is not timed: it adds to `frozen` instead of to the
+ * L2, L1D, L1I and core laps. A clock read costs about as much as a
+ * component's tick, so every lap is charged net of one read
+ * (`clockNs`). Host-side only: never serialized and never in stats
+ * JSON.
  */
 struct TickTimes
 {

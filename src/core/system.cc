@@ -63,15 +63,6 @@ System::System(SystemConfig cfg, std::vector<GeneratorPtr> workloads)
     llc_->setInstructionSource(
         [core0] { return core0->retiredSinceReset(); });
 
-    clocked_.push_back(dram_.get());
-    clocked_.push_back(llc_.get());
-    for (unsigned c = 0; c < n; ++c) {
-        clocked_.push_back(l2s_[c].get());
-        clocked_.push_back(l1ds_[c].get());
-        clocked_.push_back(l1is_[c].get());
-        clocked_.push_back(cores_[c].get());
-    }
-
     noSkip_ = config_.tickEveryCycle;
     if (const char *env = std::getenv("IPCP_NO_SKIP");
         env != nullptr && env[0] != '\0' &&
@@ -93,9 +84,8 @@ System::System(SystemConfig cfg, std::vector<GeneratorPtr> workloads)
             l2->setDeferLower(true);
     }
 
-    // Multi-core skipping ticks only the clusters with work due
-    // (DESIGN.md §5c).
-    if (n > 1 && !noSkip_) {
+    // Skipping ticks only the clusters with work due (DESIGN.md §5c).
+    if (!noSkip_) {
         clusters_.resize(n);
         for (unsigned c = 0; c < n; ++c) {
             clusters_[c].sys = this;
@@ -253,59 +243,28 @@ System::frozenClusters() const
     return frozen;
 }
 
-template <bool Sparse>
 Cycle
 System::nextWakeupAll(Cycle now) const
 {
-    if constexpr (Sparse) {
-        // A ticked cluster's wakeup was stored after this tick; a
-        // frozen one's still holds, since nothing reached it.
-        Cycle wake = kNeverWakeup;
-        for (const Cluster &k : clusters_)
-            wake = std::min(wake, k.wakeAt);
-        if (wake <= now + 1)
-            return wake;
-        wake = std::min(wake, llc_->nextWakeup(now));
-        if (wake <= now + 1)
-            return wake;
-        return std::min(wake, dram_->nextWakeup(now));
-    }
+    // A ticked cluster's wakeup was stored after this tick; a frozen
+    // one's still holds, since nothing reached it.
     Cycle wake = kNeverWakeup;
-    for (const auto &core : cores_) {
-        wake = std::min(wake, core->nextWakeup(now));
-        if (wake <= now + 1)
-            return wake;
-    }
-    for (const auto &c : l1ds_) {
-        wake = std::min(wake, c->nextWakeup(now));
-        if (wake <= now + 1)
-            return wake;
-    }
-    for (const auto &c : l1is_) {
-        wake = std::min(wake, c->nextWakeup(now));
-        if (wake <= now + 1)
-            return wake;
-    }
-    for (const auto &c : l2s_) {
-        wake = std::min(wake, c->nextWakeup(now));
-        if (wake <= now + 1)
-            return wake;
-    }
+    for (const Cluster &k : clusters_)
+        wake = std::min(wake, k.wakeAt);
+    if (wake <= now + 1)
+        return wake;
     wake = std::min(wake, llc_->nextWakeup(now));
     if (wake <= now + 1)
         return wake;
     return std::min(wake, dram_->nextWakeup(now));
 }
 
-template <bool Sparse>
 void
 System::skipTo(Cycle target)
 {
     const Cycle skipped = target - cycle_;
-    // clocked_ holds DRAM and the LLC first, then the clusters.
-    const std::size_t count = Sparse ? 2 : clocked_.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        Clocked *c = clocked_[i];
+    Clocked *const shared[] = {dram_.get(), llc_.get()};
+    for (Clocked *c : shared) {
         // skipCycles first: reconciliation reads the pre-sync `now`.
         c->skipCycles(skipped);
         // Sync to target - 1, the value `now` would hold after a tick
@@ -389,8 +348,8 @@ System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
             "resumed run targets differ from the checkpointed ones"));
     }
 
-    RunResult result = clusters_.empty() ? runPhases<false>(sim_instrs)
-                                         : runPhases<true>(sim_instrs);
+    RunResult result = noSkip_ ? runPhases<false>(sim_instrs)
+                               : runPhases<true>(sim_instrs);
     thawAll();
     if (tickTimes_ != nullptr) {
         tickTimes_->clusterTicks = perf_.clusterTicks;
@@ -474,13 +433,13 @@ System::runPhases(std::uint64_t sim_instrs)
      * per-cycle ticking.
      */
     auto jump = [&](bool clamp_to_check) {
-        Cycle wake = nextWakeupAll<Sparse>(cycle_ - 1);
+        Cycle wake = nextWakeupAll(cycle_ - 1);
         if (clamp_to_check)
             wake = std::min(wake, (((cycle_ >> 8) + 1) << 8) - 1);
         if (wake <= cycle_)
             return;
         watchdog_over_skip(wake);
-        skipTo<Sparse>(wake);
+        skipTo(wake);
     };
     auto advance = [&](bool clamp_to_check) {
         if (!timedPass_) [[likely]] {
@@ -505,7 +464,7 @@ System::runPhases(std::uint64_t sim_instrs)
                 watchdog();
             if (auditTick_)
                 audit(false);
-            if (!noSkip_ && !all_reached(rs_.warmupInstrs))
+            if (Sparse && !all_reached(rs_.warmupInstrs))
                 advance(false);
             maybeCheckpoint();
         }
@@ -562,7 +521,7 @@ System::runPhases(std::uint64_t sim_instrs)
                 watchdog();
             if (auditTick_)
                 audit(false);
-            if (!noSkip_ && rs_.remaining > 0) {
+            if (Sparse && rs_.remaining > 0) {
                 // A core past its target whose completion has not been
                 // recorded yet (multi-core: checks run every 256
                 // cycles) pins the jump to the next check boundary.

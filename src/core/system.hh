@@ -164,7 +164,7 @@ class System
     /**
      * Per-core clusters the next tick leaves frozen: their stored
      * wakeup lies beyond it and their L2 has no blocked prefetch head
-     * (DESIGN.md §5c). Always 0 for one core and without skipping.
+     * (DESIGN.md §5c). Always 0 without skipping.
      */
     unsigned frozenClusters() const;
 
@@ -359,7 +359,7 @@ class System
 
     /**
      * One core's private hierarchy (L2 → L1D → L1I → core) as a freeze
-     * unit of the multi-core skip loop (DESIGN.md §5c). A cluster
+     * unit of the skip loop (DESIGN.md §5c). A cluster
      * whose stored wakeup lies beyond the current cycle is not ticked
      * and its members' clocks are left behind; catchUp() reconciles
      * the skipped cycles in one step. Its L2 calls thaw() before a
@@ -376,9 +376,10 @@ class System
     };
 
     /**
-     * run() after its target checks. `Sparse` (several cores, skipping
-     * on) ticks only the clusters with work due; it is its own
-     * instantiation so the one-core loop gains no branch.
+     * run() after its target checks. `Sparse` (skipping on) jumps
+     * over idle cycles and ticks only the clusters with work due;
+     * runPhases<false> ticks everything every cycle, the reference
+     * loop under tickEveryCycle.
      */
     template <bool Sparse>
     RunResult runPhases(std::uint64_t sim_instrs);
@@ -407,23 +408,19 @@ class System
     void maybeCheckpoint();
 
     /**
-     * Minimum nextWakeup over every component, evaluated after the
-     * tick at `now` (cores first — they are the most likely to report
-     * now + 1, which short-circuits the scan). `Sparse` takes the
-     * clusters' stored wakeups instead of scanning their members.
+     * Minimum wakeup over the machine after the tick at `now`: the
+     * clusters' stored wakeups first (the most likely to be now + 1,
+     * which short-circuits the scan), then the LLC and DRAM.
      */
-    template <bool Sparse>
     Cycle nextWakeupAll(Cycle now) const;
 
     /**
-     * Jump the clock to `target` without ticking: reconcile every
-     * component's per-cycle-sampled stats for the skipped span and
-     * sync their `now` to target - 1, so the next tickAll(target)
-     * behaves exactly as if cycles cycle_..target-1 had been ticked.
-     * `Sparse` touches only the LLC and DRAM; the clusters catch up
-     * when they next tick or thaw.
+     * Jump the clock to `target` without ticking: reconcile the LLC's
+     * and DRAM's per-cycle-sampled stats for the skipped span and sync
+     * their `now` to target - 1, so the next tickAll(target) behaves
+     * exactly as if cycles cycle_..target-1 had been ticked. The
+     * clusters catch up when they next tick or thaw.
      */
-    template <bool Sparse>
     void skipTo(Cycle target);
 
     SystemConfig config_;
@@ -435,13 +432,11 @@ class System
     std::vector<std::unique_ptr<Cache>> l1ds_;
     std::vector<std::unique_ptr<Cache>> l2s_;
     std::vector<std::unique_ptr<Core>> cores_;
-    std::vector<Clocked *> clocked_;  //!< every component, for skipTo
     Cycle cycle_ = 0;
     bool noSkip_ = false;
     bool auditTick_ = false;
     bool deferEgress_ = false;  //!< multi-core: L2→LLC egress end-of-cycle
-    /** One per core when the multi-core skip loop freezes clusters;
-     *  empty for one core and without skipping. */
+    /** One per core when skipping is on; empty without skipping. */
     std::vector<Cluster> clusters_;
 
     PerfCounters perf_;

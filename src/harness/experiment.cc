@@ -255,6 +255,13 @@ systemFingerprint(const SystemConfig &cfg)
     return buf;
 }
 
+SystemConfig
+tableIISystem(SystemConfig base, std::size_t cores)
+{
+    base.dram.channels = cores > 1 ? 2 : 1;
+    return base;
+}
+
 std::string
 mixName(const std::vector<TraceSpec> &specs)
 {
@@ -268,9 +275,7 @@ MixOutcome
 runMix(const std::vector<TraceSpec> &specs, const AttachFn &attach,
        const ExperimentConfig &cfg, const std::string &ckpt_key)
 {
-    SystemConfig sys_cfg = cfg.system;
-    // Table II: 1 DRAM channel for a single core, 2 for multi-core.
-    sys_cfg.dram.channels = specs.size() > 1 ? 2 : 1;
+    const SystemConfig sys_cfg = tableIISystem(cfg.system, specs.size());
 
     PreparedSystem p = prepareSystem(
         [&] {

@@ -33,8 +33,7 @@ struct ExperimentConfig
     std::uint64_t warmupInstrs = 100'000;
     std::uint64_t simInstrs = 1'000'000;
     unsigned mixes = 12;
-    SystemConfig system;  //!< base system (runMix sets the DRAM
-                          //!< channel count from the core count)
+    SystemConfig system;  //!< base system (see tableIISystem)
 
     /**
      * Crash-safe checkpointing (see DESIGN.md §5d). When ckptEvery is
@@ -191,6 +190,12 @@ std::string checkpointPathFor(const ExperimentConfig &cfg,
  */
 std::string systemFingerprint(const SystemConfig &cfg);
 
+/**
+ * The machine a run on `cores` cores simulates: `base` with Table
+ * II's DRAM channel count, 1 for a single core and 2 for more.
+ */
+SystemConfig tableIISystem(SystemConfig base, std::size_t cores);
+
 /** Metrics of one multi-core mix run. */
 struct MixOutcome
 {
@@ -206,8 +211,8 @@ struct MixOutcome
 std::string mixName(const std::vector<TraceSpec> &specs);
 
 /**
- * Run a mix (one workload per core) on an N-core Table II system:
- * 1 DRAM channel for one core, 2 for more. Cores replaying one trace
+ * Run a mix (one workload per core) on the tableIISystem of
+ * cfg.system for its core count. Cores replaying one trace
  * file share its decoded records. The stats JSON names the run
  * `ckpt_key`, or mixName(specs) when that is empty.
  */

@@ -183,11 +183,11 @@ installSignalHandlers()
 
 std::string
 jobKey(const std::string &trace, const std::string &label,
-       const ExperimentConfig &cfg)
+       const ExperimentConfig &cfg, std::size_t cores)
 {
     return trace + "|" + label + "|" + std::to_string(cfg.simInstrs) +
            "|" + std::to_string(cfg.warmupInstrs) + "|" +
-           systemFingerprint(cfg.system);
+           systemFingerprint(tableIISystem(cfg.system, cores));
 }
 
 std::string
@@ -604,8 +604,8 @@ Runner::runMixes(const std::vector<MixJob> &jobs)
     std::vector<std::size_t> slots(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         slots[i] = i;
-        last_.perJob[i].key =
-            jobKey(mixName(jobs[i].specs), jobs[i].label, jobs[i].cfg);
+        last_.perJob[i].key = jobKey(mixName(jobs[i].specs), jobs[i].label,
+                                     jobs[i].cfg, jobs[i].specs.size());
     }
     std::vector<MixJobOutcome> results = execute(jobs, slots, {});
     last_.wallSeconds = secondsSince(batch_start);

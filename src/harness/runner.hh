@@ -66,12 +66,13 @@ struct MixJob
 
 /**
  * The memoization key of a run: trace, combo label, run lengths and
- * the system fingerprint. The one definition behind the runner's
- * in-batch dedup, the bench disk cache and campaign cells, so they
- * never disagree. A mix's trace is its mixName().
+ * the fingerprint of the tableIISystem it simulates on `cores` cores.
+ * The one definition behind the runner's in-batch dedup, the bench
+ * disk cache and campaign cells, so they never disagree. A mix's
+ * trace is its mixName().
  */
 std::string jobKey(const std::string &trace, const std::string &label,
-                   const ExperimentConfig &cfg);
+                   const ExperimentConfig &cfg, std::size_t cores = 1);
 
 /** The jobKey of a single-core job. */
 std::string jobKey(const Job &job);

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -149,6 +150,34 @@ TEST(Runner, MixBatchMatchesDirectRunMix)
         EXPECT_EQ(r.lastBatch().executed, jobs.size());
         EXPECT_EQ(r.lastBatch().failed, 0u);
     }
+}
+
+TEST(Runner, MixKeysNameTheSimulatedChannelCount)
+{
+    // runMix gives a multi-core machine Table II's two DRAM channels;
+    // the job key and the stats JSON's job_key must say so.
+    test::TempDir dir;
+    ExperimentConfig cfg = tinyConfig();
+    cfg.statsJsonPath = dir.path + "/mix.json";
+    const TraceSpec &a = findTrace("603.bwaves_s-891B");
+    const TraceSpec &b = findTrace("605.mcf_s-994B");
+    Runner r(1);
+    ASSERT_TRUE(r.runMixes({MixJob{{a, b}, "none", comboAttach("none"),
+                                   cfg}})[0]
+                    .ok);
+    const std::string key = r.lastBatch().perJob[0].key;
+    EXPECT_NE(key.find(".d2."), std::string::npos) << key;
+    EXPECT_EQ(key, jobKey(mixName({a, b}), "none", cfg, 2));
+
+    std::ifstream in(cfg.statsJsonPath);
+    std::ostringstream json;
+    json << in.rdbuf();
+    EXPECT_NE(json.str().find("\"job_key\": \"" + key + "\""),
+              std::string::npos)
+        << json.str().substr(0, 300);
+
+    // One-core keys are unchanged: one channel.
+    EXPECT_NE(jobKey(a.name, "none", cfg).find(".d1."), std::string::npos);
 }
 
 TEST(Runner, ParallelMatchesSerialBitForBit)

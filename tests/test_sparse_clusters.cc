@@ -1,15 +1,15 @@
 /**
  * @file
- * Sparse multi-core ticking tests (DESIGN.md §5c). With more than one
- * core the skip loop leaves a core's private cluster (L2, L1D, L1I,
- * core) unticked while none of its members has work due, and thaws it
- * at its own wakeup, when the LLC responds into its L2, and before the
- * whole machine is read or written. A cluster whose L2 holds a
- * prefetch head refused by the LLC is never frozen. These tests run
- * mixes that drive each of those paths against the tick-every-cycle
- * loop and compare per-core instructions and cycles and the full
- * stats JSON; the resume test restores a checkpoint taken while a
- * cluster was frozen.
+ * Sparse ticking tests (DESIGN.md §5c). At every core count the skip
+ * loop leaves a core's private cluster (L2, L1D, L1I, core) unticked
+ * while none of its members has work due, and thaws it at its own
+ * wakeup, when the LLC responds into its L2, and before the whole
+ * machine is read or written. A cluster whose L2 holds a prefetch
+ * head refused by the LLC is never frozen. These tests run one-core
+ * machines and mixes that drive each of those paths against the
+ * tick-every-cycle loop and compare per-core instructions and cycles
+ * and the full stats JSON; the resume tests restore a checkpoint
+ * taken while a cluster was frozen.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/system.hh"
+#include "harness/experiment.hh"
 #include "harness/factory.hh"
 #include "harness/statsjson.hh"
 #include "trace/suite.hh"
@@ -32,7 +33,7 @@ namespace bouquet
 namespace
 {
 
-/** A multi-core machine and workload mix to run both ways. */
+/** A machine and its workload mix to run both ways. */
 struct Mix
 {
     std::vector<std::string> traces;
@@ -57,9 +58,8 @@ computeNextToChase(unsigned cores)
 std::unique_ptr<System>
 build(const Mix &mix, bool tick_every_cycle)
 {
-    SystemConfig cfg;
+    SystemConfig cfg = tableIISystem({}, mix.traces.size());
     cfg.tickEveryCycle = tick_every_cycle;
-    cfg.dram.channels = 2;
     cfg.dram.busCyclesPerLine = mix.busCyclesPerLine;
     if (mix.llcQueue != 0) {
         // Scaled by the core count, as every LLC queue is.
@@ -141,6 +141,27 @@ expectMatchesTickEveryCycle(const Mix &mix, const std::string &what,
         << what;
 }
 
+TEST(SparseClusters, PointerChaseAndComputeMatchOnOneCore)
+{
+    Mix mix;
+    for (const char *trace : {"605.mcf_s-472B", "641.leela_s-149B"}) {
+        mix.traces = {trace};
+        expectMatchesTickEveryCycle(mix, std::string("1c ipcp ") + trace);
+    }
+}
+
+TEST(SparseClusters, SmallLlcQueuesMatchOnOneCore)
+{
+    // Two-entry LLC queues behind a slow bus: the L2's prefetch heads
+    // block on LLC queue space, which pins its cluster unfrozen.
+    Mix mix;
+    mix.traces = {"605.mcf_s-472B"};
+    mix.combo = "spp-ppf-dspatch";
+    mix.llcQueue = 2;
+    mix.busCyclesPerLine = 80;
+    expectMatchesTickEveryCycle(mix, "1c spp-ppf-dspatch llc queues 2");
+}
+
 TEST(SparseClusters, ComputeNextToChaseMatchesOnTwoCores)
 {
     Mix mix;
@@ -194,13 +215,15 @@ TEST(SparseClusters, MixedMatchesOnEightCores)
  * restores into a fresh System that finishes exactly like the run
  * that saved it, and like one that never saved.
  */
-TEST(SparseClusters, ResumeFromFrozenCheckpointMatchesUninterrupted)
+void
+expectResumeFromFrozenCheckpoint(const Mix &mix)
 {
-    Mix mix;
-    mix.traces = computeNextToChase(4);
     constexpr std::uint64_t kWarmup = 3'000;
     constexpr std::uint64_t kSim = 12'000;
-    const std::string path = ::testing::TempDir() + "/sparse_resume.ckpt";
+    const std::string path =
+        ::testing::TempDir() + "/sparse_resume_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".ckpt";
     std::remove(path.c_str());
 
     std::unique_ptr<System> saver = build(mix, false);
@@ -222,6 +245,20 @@ TEST(SparseClusters, ResumeFromFrozenCheckpointMatchesUninterrupted)
             << "no cluster was frozen at the save";
     }
     expectSame(whole, finish(*resumed, kWarmup, kSim), "resumed");
+}
+
+TEST(SparseClusters, ResumeFromFrozenCheckpointMatchesUninterrupted)
+{
+    Mix mix;
+    mix.traces = computeNextToChase(4);
+    expectResumeFromFrozenCheckpoint(mix);
+}
+
+TEST(SparseClusters, ResumeFromFrozenOneCoreCheckpointMatches)
+{
+    Mix mix;
+    mix.traces = {"605.mcf_s-472B"};
+    expectResumeFromFrozenCheckpoint(mix);
 }
 
 } // namespace

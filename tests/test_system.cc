@@ -88,16 +88,21 @@ TEST(System, DeterministicRepeat)
     EXPECT_DOUBLE_EQ(run_once(), run_once());
 }
 
-TEST(System, TickTimingLeavesSimulationUnchanged)
+/**
+ * ipcp_sim --perf times one executed tick in 64, part by part; a
+ * timed tick must simulate exactly what an untimed one does, on
+ * `traces.size()` cores.
+ */
+void
+expectTickTimingLeavesSimulationUnchanged(
+    const std::vector<std::string> &traces)
 {
-    // ipcp_sim --perf times one executed tick in 64, part by part; a
-    // timed tick must simulate exactly what an untimed one does.
-    auto run = [](TickTimes *split) {
-        SystemConfig cfg;
-        cfg.dram.channels = 2;
+    const std::size_t n = traces.size();
+    auto run = [&](TickTimes *split) {
+        const SystemConfig cfg = tableIISystem({}, n);
         std::vector<GeneratorPtr> w;
-        w.push_back(makeWorkload(findTrace("605.mcf_s-472B")));
-        w.push_back(makeWorkload(findTrace("619.lbm_s-2676B")));
+        for (const std::string &t : traces)
+            w.push_back(makeWorkload(findTrace(t)));
         auto sys = std::make_unique<System>(cfg, std::move(w));
         applyCombo(*sys, "ipcp");
         sys->timeTicks(split);
@@ -124,18 +129,31 @@ TEST(System, TickTimingLeavesSimulationUnchanged)
     EXPECT_EQ(split.laps[TickTimes::Dram], split.samples);
     // Each sampled tick either ticks or freezes each core's cluster.
     EXPECT_EQ(split.laps[TickTimes::Core] + split.frozen,
-              2 * split.samples);
+              n * split.samples);
     EXPECT_EQ(split.laps[TickTimes::L2], split.laps[TickTimes::Core]);
     EXPECT_EQ(split.clusterTicks, timed->perf().clusterTicks);
     EXPECT_EQ(split.clustersFrozen, timed->perf().clustersFrozen);
-    EXPECT_EQ(split.laps[TickTimes::Egress], split.samples);
+    // One core sends L2 misses to the LLC directly: no egress flush.
+    EXPECT_EQ(split.laps[TickTimes::Egress], n > 1 ? split.samples : 0u);
     if (!timed->tickEveryCycle()) {  // IPCP_NO_SKIP never scans
         EXPECT_GT(split.laps[TickTimes::Wakeup], 0u);
+        EXPECT_GT(split.frozen, 0u);
     }
     double total = 0.0;
     for (unsigned p = 0; p < TickTimes::kParts; ++p)
         total += split.share(static_cast<TickTimes::Part>(p));
     EXPECT_NEAR(total, 1.0, 1e-9);
+}
+
+TEST(System, TickTimingLeavesSimulationUnchanged)
+{
+    {
+        SCOPED_TRACE("one core");
+        expectTickTimingLeavesSimulationUnchanged({"605.mcf_s-472B"});
+    }
+    SCOPED_TRACE("two cores");
+    expectTickTimingLeavesSimulationUnchanged(
+        {"605.mcf_s-472B", "619.lbm_s-2676B"});
 }
 
 TEST(System, MultiCoreSharesLlcAndDram)

@@ -140,8 +140,8 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
             json.key("jobs");
             json.beginArray();
             for (const CampaignJob &job : spec.jobs) {
-                const std::string hash =
-                    keyHash(keyOf(job, cfg));
+                const std::string key = keyOf(job, cfg);
+                const std::string hash = keyHash(key);
                 const JobState state = queue.state(hash);
                 std::uint64_t attempts = 0;
                 std::uint64_t reclaims = 0;
@@ -178,14 +178,22 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
                             lineField(line, "evicted");
                         totals.gcEvicted += ev;
                         evicted += ev;
-                    } else if (line.rfind("cache ", 0) == 0) {
-                        if (line.find("warm=hit") !=
-                            std::string::npos)
-                            ++warm_hits;
-                        else if (line.find("warm=miss") !=
-                                 std::string::npos)
-                            ++warm_misses;
                     }
+                }
+                // The history charges only attempts that did not
+                // succeed. A done job's successful attempt is its
+                // done file, which also says whether it warm-started;
+                // a lease still held or orphaned is one more started
+                // attempt that nobody has charged yet.
+                if (state == JobState::Done) {
+                    ++attempts;
+                    if (Result<Outcome> done = queue.readDone(hash, key);
+                        done.ok())
+                        ++(done.value().warmStart ? warm_hits
+                                                  : warm_misses);
+                } else if (state == JobState::Leased ||
+                           state == JobState::Orphaned) {
+                    ++attempts;
                 }
                 switch (state) {
                 case JobState::Done: ++totals.done; break;

@@ -9,7 +9,10 @@
  *                 ran, died, or resumed from checkpoints.
  *   summary.json  provenance: per-job attempts, reclaims, resumes and
  *                 quarantine histories, plus fleet totals. Owner ids
- *                 and counts vary run to run by design.
+ *                 and counts vary run to run by design. A done job's
+ *                 successful attempt and its warm hit or miss come
+ *                 from its done file; everything else from its
+ *                 history, which a clean job does not have.
  */
 
 #ifndef BOUQUET_CAMPAIGN_AGGREGATE_HH
@@ -36,8 +39,8 @@ struct CampaignTotals
     std::uint64_t attempts = 0;    //!< started executions
     std::uint64_t reclaims = 0;    //!< orphaned-lease takeovers
     std::uint64_t resumed = 0;     //!< runs continued from checkpoint
-    std::uint64_t warmHits = 0;    //!< runs fast-forwarded past warmup
-    std::uint64_t warmMisses = 0;  //!< runs that simulated warmup
+    std::uint64_t warmHits = 0;    //!< done jobs that skipped warmup
+    std::uint64_t warmMisses = 0;  //!< done jobs that simulated it
     // Degraded publishes (writes downgraded to pass-through, §5i) and
     // disk-budget GC evictions, summed from per-job history lines.
     std::uint64_t degradedStore = 0;

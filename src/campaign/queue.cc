@@ -202,12 +202,8 @@ WorkQueue::tryClaim(const std::string &hash)
         return *fault;
     if (isTerminal(hash))
         return Claim{};
-    if (attemptCount(hash) >= cfg_.quarantineAfter) {
-        quarantine(hash, "attempt budget exhausted (" +
-                             std::to_string(cfg_.quarantineAfter) +
-                             " started attempts)");
+    if (quarantineIfSpent(hash))
         return Claim{};
-    }
 
     const std::string lease = leasePath(hash);
     Claim claim;
@@ -257,7 +253,12 @@ WorkQueue::tryClaim(const std::string &hash)
         return Claim{};
     }
     ::unlink(corpse.c_str());
+    // The dead owner never charged its attempt; charge it here, and
+    // park the job if that was the last one the budget allowed.
     appendHistory(hash, "orphaned prior=" + prior_owner);
+    recordAttempt(hash, true, prior_owner);
+    if (quarantineIfSpent(hash))
+        return Claim{};
 
     if (!createExclusive(lease, content))
         return Claim{};  // a fresh claimant slipped in; it wins
@@ -309,13 +310,6 @@ WorkQueue::recordResume(const std::string &hash,
 {
     appendHistory(hash, "resumed owner=" + owner_ + " cycle=" +
                             std::to_string(ckpt_cycle));
-}
-
-void
-WorkQueue::recordCache(const std::string &hash, bool warm_hit) const
-{
-    appendHistory(hash, std::string("cache warm=") +
-                            (warm_hit ? "hit" : "miss"));
 }
 
 void
@@ -405,6 +399,17 @@ WorkQueue::quarantine(const std::string &hash,
     // the quarantine marker in one rename.
     ::rename(attemptsPath(hash).c_str(),
              quarantinePath(hash).c_str());
+}
+
+bool
+WorkQueue::quarantineIfSpent(const std::string &hash) const
+{
+    if (attemptCount(hash) < cfg_.quarantineAfter)
+        return false;
+    quarantine(hash, "attempt budget exhausted (" +
+                         std::to_string(cfg_.quarantineAfter) +
+                         " started attempts)");
+    return true;
 }
 
 void

@@ -7,18 +7,30 @@
  *   lease-<hash>        exclusive claim: created O_CREAT|O_EXCL by
  *                       exactly one worker; content names the owner
  *                       and a per-claim nonce; mtime is the heartbeat
- *   attempts-<hash>     append-only history: one line per started
- *                       attempt, failure, reclaim and resume
+ *   attempts-<hash>     append-only history of what did not go
+ *                       cleanly: one `attempt` line per attempt that
+ *                       ended other than by success, plus failures,
+ *                       reclaims, resumes and degraded writes. A job
+ *                       whose only attempt succeeded has none.
  *   done-<hash>         terminal success: the job's key and Outcome
- *                       in a CRC container (publishFile)
+ *                       in a CRC container (publishFile); it also
+ *                       stands for the successful attempt
  *   quarantine-<hash>   terminal failure: the attempts log renamed,
  *                       with the quarantine reason appended
  *
+ * Whoever ends a lease other than by success charges that attempt:
+ * its worker when the attempt fails, drains or cannot publish; the
+ * reclaimer of an orphaned lease; the supervisor when its stall
+ * watchdog kills the worker. So the `attempt` lines plus the done
+ * file count every started attempt once, and a SIGKILLed attempt
+ * still counts toward the quarantine budget.
+ *
  * Beside the per-job files, each worker maintains one progress beacon,
  * pulse-<owner>: an atomically-replaced snapshot of its simulation
- * progress epoch and current job. The supervisor's stall watchdog
- * reads it to tell a worker that is alive-but-wedged (heartbeat fresh,
- * epoch frozen) from one that is merely slow (epoch advancing).
+ * progress epoch and current job, rewritten by its heartbeat thread.
+ * The supervisor's stall watchdog reads it to tell a worker that is
+ * alive-but-wedged (heartbeat fresh, epoch frozen) from one that is
+ * merely slow (epoch advancing).
  *
  * Job states and transitions:
  *
@@ -34,7 +46,8 @@
  * renames it to a reclaimer-unique corpse — exactly one racer's
  * rename succeeds — then verifies the corpse still carries the nonce
  * it read before renaming (a lease recreated in the race window is
- * restored, not stolen) and re-creates the lease O_EXCL. Heartbeat
+ * restored, not stolen), charges the orphaned attempt, and re-creates
+ * the lease O_EXCL unless that charge used up the budget. Heartbeat
  * and publishDone verify the caller's nonce first, so a worker whose
  * lease was reclaimed while it was stalled can neither renew nor
  * publish.
@@ -142,9 +155,12 @@ class WorkQueue
                      const std::string &nonce) const;
 
     /**
-     * Record the start of an execution attempt (append-only). Written
-     * before the simulation starts so a SIGKILLed attempt still
-     * counts toward the quarantine budget.
+     * Charge one attempt that ended other than by success (append
+     * only). `reclaimed == false` charges this owner's own attempt
+     * (`kind=claim`); `reclaimed == true` charges `prior_owner`'s,
+     * which this owner reclaimed as an orphan or, as the supervisor,
+     * killed as stalled (`kind=reclaim prior=<prior_owner>`). A
+     * successful attempt is never charged: its done file counts it.
      */
     void recordAttempt(const std::string &hash, bool reclaimed,
                        const std::string &prior_owner) const;
@@ -158,13 +174,6 @@ class WorkQueue
                       std::uint64_t ckpt_cycle) const;
 
     /**
-     * Append a cache-provenance note for an executed attempt:
-     * whether it fast-forwarded from the WarmStore. Counted into
-     * summary.json's warm totals.
-     */
-    void recordCache(const std::string &hash, bool warm_hit) const;
-
-    /**
      * Append an attempt's degraded-publish counts (per-kind deltas
      * from the process-wide ledger, §5i) plus disk-budget evictions.
      * Only written when at least one count is nonzero; summed into
@@ -175,7 +184,7 @@ class WorkQueue
                         std::uint64_t stats,
                         std::uint64_t evicted) const;
 
-    /** Started attempts so far (lines in the attempts log). */
+    /** Charged attempts so far (`attempt` lines in the log). */
     unsigned attemptCount(const std::string &hash) const;
 
     /**
@@ -204,6 +213,12 @@ class WorkQueue
     void quarantine(const std::string &hash,
                     const std::string &reason) const;
 
+    /**
+     * Quarantine the job once its charged attempts reach the budget
+     * (`quarantineAfter`). True when it is now parked.
+     */
+    bool quarantineIfSpent(const std::string &hash) const;
+
     /** Drop the lease iff we still own it (nonce matches). */
     void release(const std::string &hash,
                  const std::string &nonce) const;
@@ -224,7 +239,7 @@ class WorkQueue
     /**
      * Atomically replace this owner's progress beacon with the given
      * simulation progress epoch and the job it is working ("idle"
-     * between claims). Best effort: a lost pulse costs the watchdog
+     * between jobs). Best effort: a lost pulse costs the watchdog
      * one beat of slack, never a worker.
      */
     void writePulse(std::uint64_t epoch,

@@ -89,6 +89,18 @@ StallTracker::forget(pid_t pid)
     seen_.erase(pid);
 }
 
+void
+quarantineStalled(const WorkQueue &queue, const std::string &job_hash,
+                  const std::string &owner)
+{
+    queue.recordAttempt(job_hash, true, owner);
+    queue.recordFailure(job_hash, "stalled: progress epoch frozen "
+                                  "past the stall timeout");
+    queue.quarantine(job_hash,
+                     "stalled worker killed by supervisor watchdog");
+    ::unlink(queue.pulsePath(owner).c_str());
+}
+
 int
 runSupervisor(const std::string &root, const SupervisorOptions &opts)
 {
@@ -155,13 +167,8 @@ runSupervisor(const std::string &root, const SupervisorOptions &opts)
                              "quarantining the job\n";
                 ::kill(pid, SIGKILL);
                 stall.forget(pid);
-                queue.recordFailure(job, "stalled: progress epoch "
-                                         "frozen past the stall "
-                                         "timeout");
-                queue.quarantine(job, "stalled worker killed by "
-                                      "supervisor watchdog");
-                ::unlink(queue.pulsePath("w" + std::to_string(pid))
-                             .c_str());
+                quarantineStalled(queue, job,
+                                  "w" + std::to_string(pid));
             }
         }
 

@@ -80,6 +80,18 @@ class StallTracker
     std::map<pid_t, Seen> seen_;
 };
 
+class WorkQueue;
+
+/**
+ * The stall watchdog's bookkeeping once it has SIGKILLed worker
+ * `owner` wedged on `job_hash`: charge the killed attempt (its worker
+ * never will), record why, quarantine the job, and drop the worker's
+ * pulse.
+ */
+void quarantineStalled(const WorkQueue &queue,
+                       const std::string &job_hash,
+                       const std::string &owner);
+
 /**
  * Drive the campaign at `root` to completion. Returns the campaign
  * exit code: 0 when every job is terminal and at least one is done

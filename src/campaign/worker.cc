@@ -26,21 +26,26 @@ namespace
 {
 
 /**
- * Renews a lease's heartbeat every TTL/3 while a simulation runs.
- * Stops renewing (and lets the lease expire for reclaim) once the
- * lease is lost — publishDone re-verifies ownership anyway.
+ * The worker's one heartbeat thread, alive as long as the worker.
+ * Every TTL/3 it rewrites the progress beacon (epoch plus the current
+ * job, or "idle") and renews the current job's lease. It stops
+ * renewing a lease once that lease is lost and lets it expire for
+ * reclaim; publishDone re-verifies ownership anyway.
  */
-class HeartbeatThread
+class Heartbeat
 {
   public:
-    HeartbeatThread(const WorkQueue &queue, std::string hash,
-                    std::string nonce)
-        : queue_(queue), hash_(std::move(hash)),
-          nonce_(std::move(nonce)), thread_([this] { loop(); })
+    explicit Heartbeat(const WorkQueue &queue) : queue_(queue)
     {
+        // The first pulse comes from the caller's thread: a worker
+        // whose jobs all finish within one period then never
+        // allocates on the beat thread, which would cost it a malloc
+        // arena of its own.
+        queue_.writePulse(progressEpoch(), "idle");
+        thread_ = std::thread([this] { loop(); });
     }
 
-    ~HeartbeatThread()
+    ~Heartbeat()
     {
         {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -48,6 +53,30 @@ class HeartbeatThread
         }
         cv_.notify_all();
         thread_.join();
+    }
+
+    Heartbeat(const Heartbeat &) = delete;
+    Heartbeat &operator=(const Heartbeat &) = delete;
+
+    /** Beat for this job's lease until idle(). */
+    void
+    work(const std::string &hash, const std::string &nonce)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        hash_ = hash;
+        nonce_ = nonce;
+    }
+
+    /**
+     * Stop renewing. Once this returns no beat touches the old lease,
+     * so the caller may publish or release it.
+     */
+    void
+    idle()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        hash_.clear();
+        nonce_.clear();
     }
 
   private:
@@ -58,29 +87,29 @@ class HeartbeatThread
             queue_.config().leaseTtl / 3.0);
         std::unique_lock<std::mutex> lock(mutex_);
         while (!cv_.wait_for(lock, period, [this] { return stop_; })) {
-            lock.unlock();
-            // Beat the progress beacon alongside the lease: the lease
-            // mtime says "alive", the pulse epoch says "advancing".
-            // The supervisor's stall watchdog kills a worker whose
-            // lease stays fresh while its epoch stays frozen.
-            queue_.writePulse(progressEpoch(), hash_);
+            // The lease mtime says "alive", the pulse epoch says
+            // "advancing": the supervisor's stall watchdog kills a
+            // worker whose lease stays fresh while its epoch stays
+            // frozen on one job.
+            queue_.writePulse(progressEpoch(),
+                              hash_.empty() ? "idle" : hash_);
+            if (nonce_.empty())
+                continue;
             if (Status s = queue_.heartbeat(hash_, nonce_); !s.ok()) {
                 std::cerr << "[worker " << queue_.owner()
                           << "] heartbeat for " << hash_
                           << " failed: " << s.error().message << "\n";
-                lock.lock();
-                break;
+                nonce_.clear();
             }
-            lock.lock();
         }
     }
 
     const WorkQueue &queue_;
-    std::string hash_;
-    std::string nonce_;
     std::mutex mutex_;
     std::condition_variable cv_;
     bool stop_ = false;
+    std::string hash_;   //!< job being worked; empty when idle
+    std::string nonce_;  //!< its lease; empty once lost or idle
     std::thread thread_;
 };
 
@@ -91,9 +120,13 @@ struct WorkItem
     std::string hash;
 };
 
-/** Execute one claimed job and publish its done file. */
+/**
+ * Execute one claimed job and publish its done file. An attempt that
+ * ends any other way is charged here (recordAttempt) before its lease
+ * is given back.
+ */
 void
-processItem(WorkQueue &queue, Runner &runner,
+processItem(WorkQueue &queue, Runner &runner, Heartbeat &heartbeat,
             const ExperimentConfig &cfg, const WorkItem &item,
             const Claim &claim)
 {
@@ -107,8 +140,6 @@ processItem(WorkQueue &queue, Runner &runner,
         return;
     }
 
-    queue.recordAttempt(item.hash, claim.reclaimed, claim.priorOwner);
-
     // Degraded-publish and GC deltas around the run attribute them
     // to this attempt (the worker runs one job at a time) in the
     // per-job history.
@@ -118,21 +149,17 @@ processItem(WorkQueue &queue, Runner &runner,
             degradedCount(static_cast<DegradeKind>(k));
     const std::uint64_t evicted_before = gcEvictedTotal();
 
-    std::vector<JobOutcome> outs;
-    {
-        HeartbeatThread heartbeat(queue, item.hash, claim.nonce);
-        queue.writePulse(progressEpoch(), item.hash);
-        if (faultCheck(faults::kWorkerWedge, item.hash)) {
-            // Injected wedge: heartbeat keeps the lease fresh while
-            // the epoch never advances — exactly what a deadlocked
-            // simulation looks like to the stall watchdog, which is
-            // expected to SIGKILL this process.
-            for (;;)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(50));
-        }
-        outs = runner.run({job.take()});
+    heartbeat.work(item.hash, claim.nonce);
+    if (faultCheck(faults::kWorkerWedge, item.hash)) {
+        // Injected wedge: heartbeat keeps the lease fresh while the
+        // epoch never advances — exactly what a deadlocked simulation
+        // looks like to the stall watchdog, which is expected to
+        // SIGKILL this process.
+        for (;;)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
+    const std::vector<JobOutcome> outs = runner.run({job.take()});
+    heartbeat.idle();
 
     std::uint64_t degraded_delta[kDegradeKinds];
     bool any_degraded = false;
@@ -161,15 +188,16 @@ processItem(WorkQueue &queue, Runner &runner,
     if (out.ok) {
         if (out.resumed)
             queue.recordResume(item.hash, out.ckptCycle);
-        // Note how the warm-state cache treated the run, for
-        // summary.json totals.
-        queue.recordCache(item.hash, out.outcome.warmStart);
-        // The done file is the outcome: once it lands the result is
-        // durable. If it cannot land (or the job was reclaimed from
-        // us mid-run), give the lease back for a later attempt.
+        // The done file is the outcome (warm start included): once it
+        // lands the result is durable and the attempt needs no other
+        // record. If it cannot land, give the lease back for a later
+        // attempt, charging this one unless a reclaimer took the lease
+        // from us mid-run and charged it already.
         if (Status s = queue.publishDone(item.hash, item.key,
                                          claim.nonce, out.outcome);
             !s.ok()) {
+            if (s.error().code != Errc::lock_failed)
+                queue.recordAttempt(item.hash, false, "");
             queue.recordFailure(item.hash, "outcome publish failed: " +
                                                s.error().message);
             queue.release(item.hash, claim.nonce);
@@ -177,20 +205,15 @@ processItem(WorkQueue &queue, Runner &runner,
         return;
     }
 
+    queue.recordAttempt(item.hash, false, "");
     if (shutdownRequested()) {
-        // Drain: the runner skipped or truncated this attempt. Give
-        // the lease back without charging the job a failure.
+        // Drain: the runner skipped or truncated this attempt. It is
+        // charged like any started attempt, but not as a failure.
         queue.release(item.hash, claim.nonce);
         return;
     }
     queue.recordFailure(item.hash, out.error);
-    if (queue.attemptCount(item.hash) >=
-        queue.config().quarantineAfter)
-        queue.quarantine(item.hash,
-                         "attempt budget exhausted (" +
-                             std::to_string(
-                                 queue.config().quarantineAfter) +
-                             " started attempts)");
+    queue.quarantineIfSpent(item.hash);
     queue.release(item.hash, claim.nonce);
 }
 
@@ -216,6 +239,7 @@ runWorker(const std::string &root)
     const std::string owner = "w" + std::to_string(::getpid());
     WorkQueue queue(QueueConfig::fromEnv(paths.queueDir()), owner);
     Runner runner(1);
+    Heartbeat heartbeat(queue);
 
     std::vector<WorkItem> items;
     std::vector<std::string> hashes;
@@ -231,10 +255,6 @@ runWorker(const std::string &root)
     const std::size_t start = fnv1a(owner) % n;
 
     while (!shutdownRequested()) {
-        // Pulse between claims too: an idle worker's epoch is frozen
-        // legitimately, so it reports hash=idle and the watchdog
-        // leaves it alone.
-        queue.writePulse(progressEpoch(), "idle");
         if (queue.scan(hashes).terminal() >= n)
             break;
         bool claimed_any = false;
@@ -252,7 +272,8 @@ runWorker(const std::string &root)
             if (!claim.value().claimed)
                 continue;
             claimed_any = true;
-            processItem(queue, runner, cfg, item, claim.value());
+            processItem(queue, runner, heartbeat, cfg, item,
+                        claim.value());
         }
         if (!claimed_any && !shutdownRequested()) {
             // Everything left is leased to live owners (or racing):

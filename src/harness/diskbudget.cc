@@ -6,8 +6,6 @@
 #include <vector>
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -20,39 +18,6 @@ namespace
 {
 
 std::atomic<std::uint64_t> evicted[3];
-
-/**
- * The stores' sidecar-lock discipline (cf. OutcomeStore/WarmStore):
- * flock on `path + ".lock"` serializes eviction against a concurrent
- * publisher or healer of the same file. Failure to lock is
- * survivable — at worst the eviction unlinks a file a publisher just
- * renamed complete, costing a re-publish, never correctness.
- */
-class FileLock
-{
-  public:
-    explicit FileLock(const std::string &path)
-    {
-        fd_ = ::open((path + ".lock").c_str(), O_CREAT | O_RDWR, 0644);
-        if (fd_ >= 0 && ::flock(fd_, LOCK_EX) == 0)
-            locked_ = true;
-    }
-
-    ~FileLock()
-    {
-        if (locked_)
-            ::flock(fd_, LOCK_UN);
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    FileLock(const FileLock &) = delete;
-    FileLock &operator=(const FileLock &) = delete;
-
-  private:
-    int fd_ = -1;
-    bool locked_ = false;
-};
 
 struct Candidate
 {
@@ -126,9 +91,8 @@ DiskBudget::sweep(std::uint64_t incoming_bytes) const
     for (const Candidate &victim : files) {
         if (total + incoming_bytes <= budgetBytes_)
             break;
-        FileLock lock(victim.path);
-        // Re-stat under the lock: a concurrent reader may have healed
-        // (unlinked) it already, or a publisher replaced it.
+        // Re-stat: a concurrent reader may have healed (unlinked) it
+        // already, or a publisher replaced it.
         struct stat st;
         if (::stat(victim.path.c_str(), &st) != 0)
             continue;

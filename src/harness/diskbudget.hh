@@ -16,12 +16,12 @@
  * tracks it, else mtime). Stores call sweep(0) on open and
  * sweep(payload_size) before each publish.
  *
- * Eviction is crash-safe by the same argument as the PR 7/8 heal
- * ladders: the unlink happens under the file's `.lock` flock sidecar
- * (the lock publishers and healers already take), and a reader that
- * loses the race observes a missing file — an ordinary miss that
- * recomputes, never an error. A budget of 0 disables the sweep
- * entirely (the pre-quota behaviour).
+ * Eviction takes no lock of its own. A store whose files have
+ * publishers and healers sweeps under the lock they take (the
+ * WarmStore's one store lock), and a reader that loses the race
+ * observes a missing file: an ordinary miss that recomputes, never an
+ * error. A budget of 0 disables the sweep entirely (the pre-quota
+ * behaviour).
  *
  * Evictions are counted per store kind, process-wide, and exported
  * through harnessCacheStats() as ipcp.gc.<kind>.evicted; campaign

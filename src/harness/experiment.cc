@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <sys/stat.h>
 
 #include "common/degrade.hh"
 #include "common/env.hh"
@@ -66,8 +65,7 @@ prepareSystem(const BuildFn &build, const ExperimentConfig &cfg,
     if (p.savePath.empty() && cfg.ckptEvery > 0 &&
         !cfg.ckptDir.empty() && !ckpt_key.empty()) {
         p.savePath = checkpointPathFor(cfg, ckpt_key);
-        p.derived = true;
-        ::mkdir(cfg.ckptDir.c_str(), 0777);  // best effort; saves warn
+        p.derived = true;  // the Runner makes cfg.ckptDir
         // IPCP_CKPT_BUDGET_MB: a crashed campaign leaves derived
         // checkpoints behind; sweep the LRU ones so the dir cannot
         // grow without bound. Our own save target may be evicted by a

@@ -47,42 +47,6 @@ sumStores(std::uint64_t (WarmStore::*counter)() const)
     return total;
 }
 
-/**
- * Cross-process critical section for one warm file, flock'd on a
- * `.lock` sidecar (OutcomeStore's discipline). Failure to lock is
- * survivable: publish stays atomic through the container's
- * tmp+rename, and a reader that heals without the lock can at worst
- * unlink a just-published complete file — costing a re-publish, not
- * correctness.
- */
-class FileLock
-{
-  public:
-    explicit FileLock(const std::string &path)
-    {
-        fd_ = ::open((path + ".lock").c_str(), O_CREAT | O_RDWR, 0644);
-        if (fd_ >= 0 && ::flock(fd_, LOCK_EX) == 0)
-            locked_ = true;
-    }
-
-    ~FileLock()
-    {
-        if (locked_)
-            ::flock(fd_, LOCK_UN);
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
-
-    FileLock(const FileLock &) = delete;
-    FileLock &operator=(const FileLock &) = delete;
-
-    bool locked() const { return locked_; }
-
-  private:
-    int fd_ = -1;
-    bool locked_ = false;
-};
-
 /** File size, or -1 when it cannot be stat'ed. */
 long
 fileBytes(const std::string &path)
@@ -100,6 +64,44 @@ defaultMemEntries()
 }
 
 } // namespace
+
+/**
+ * The store's critical section: lockMutex_ within the process, flock
+ * on the directory's one lock file across processes. The first Lock
+ * makes the directory and opens the lock file, which stays open for
+ * the store's life. Failure to open or flock it is survivable:
+ * publish stays atomic through the container's tmp+rename, and a
+ * reader that heals without the lock can at worst unlink a
+ * just-published complete file, costing a re-publish, not correctness.
+ */
+class WarmStore::Lock
+{
+  public:
+    explicit Lock(WarmStore &store) : guard_(store.lockMutex_)
+    {
+        if (store.lockFd_ < 0) {
+            ::mkdir(store.dir_.c_str(), 0777);  // publish reports
+            store.lockFd_ =
+                ::open((store.dir_ + "/" + kLockFile).c_str(),
+                       O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+        }
+        if (store.lockFd_ >= 0 && ::flock(store.lockFd_, LOCK_EX) == 0)
+            fd_ = store.lockFd_;
+    }
+
+    ~Lock()
+    {
+        if (fd_ >= 0)
+            ::flock(fd_, LOCK_UN);
+    }
+
+    Lock(const Lock &) = delete;
+    Lock &operator=(const Lock &) = delete;
+
+  private:
+    std::lock_guard<std::mutex> guard_;
+    int fd_ = -1;
+};
 
 std::string
 warmupKey(const std::vector<TraceSpec> &specs,
@@ -133,7 +135,16 @@ WarmStore::WarmStore(std::string dir, std::size_t mem_entries)
       budget_(dir_, "warm-", ".ckpt",
               envBudgetBytes("IPCP_WARM_BUDGET_MB"), BudgetKind::warm)
 {
-    budget_.sweep();  // reclaim an over-budget dir left by a crash
+    if (budget_.enabled()) {
+        Lock lock(*this);
+        budget_.sweep();  // reclaim an over-budget dir left by a crash
+    }
+}
+
+WarmStore::~WarmStore()
+{
+    if (lockFd_ >= 0)
+        ::close(lockFd_);
 }
 
 std::string
@@ -174,9 +185,10 @@ WarmStore::fetch(const std::string &key, std::uint64_t config_hash)
         // Unusable bytes under the warm path (truncated publish the
         // atomic rename never covered, stale format version, foreign
         // config): heal by unlinking so the next run publishes fresh.
-        // Revalidated under the flock so a concurrent publisher's
-        // just-renamed complete file is not the one removed.
-        FileLock lock(path);
+        // Revalidated under the store lock so a concurrent
+        // publisher's just-renamed complete file is not the one
+        // removed.
+        Lock lock(*this);
         r = readCheckpointFile(path, config_hash);
         if (!r.ok()) {
             if (r.error().code != Errc::io) {
@@ -208,13 +220,12 @@ WarmStore::publish(const std::string &key, std::uint64_t config_hash,
     remember(key, config_hash, shared);
     publishes_.fetch_add(1);
 
-    ::mkdir(dir_.c_str(), 0777);  // best effort; the write reports
+    Lock lock(*this);
     // Make room before (not after) the write: evicting the LRU warm
     // states first keeps the new publish from hitting ENOSPC that the
     // budget could have prevented.
     budget_.sweep(shared->size());
     const std::string path = pathFor(key);
-    FileLock lock(path);
     const long existing = fileBytes(path);
     if (existing > 0)
         return Status();  // racing publisher already wrote these bytes

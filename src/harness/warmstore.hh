@@ -18,11 +18,12 @@
  *  - cross-process: checkpoint-container files under the store
  *    directory (campaign workers point IPCP_WARM_DIR at a shared
  *    path), written with the same atomic tmp+fsync+rename and CRC
- *    discipline as periodic checkpoints, published under a flock so
- *    concurrent writers of one key never interleave.
+ *    discipline as periodic checkpoints, published under the store's
+ *    one flock (`<dir>/store.lock`) so concurrent writers of a key
+ *    never interleave.
  *
  * A stale, truncated, or corrupt warm file is never an error — it
- * heals to a miss: the reader revalidates under the flock and unlinks
+ * heals to a miss: the reader revalidates under the lock and unlinks
  * the file (OutcomeStore's zero-byte self-healing, generalized), and
  * the run simulates its warmup normally.
  */
@@ -78,6 +79,9 @@ class WarmStore
     /** Immutable shared payload: loaders read, never mutate. */
     using Payload = std::shared_ptr<const std::vector<std::uint8_t>>;
 
+    /** The one lock file every process sharing `dir` flocks. */
+    static constexpr const char *kLockFile = "store.lock";
+
     /**
      * `dir` is created on first publish. `mem_entries` caps the
      * in-process payload cache (beyond it the disk still serves);
@@ -86,6 +90,10 @@ class WarmStore
      * evicted down to the budget) here and before every publish.
      */
     explicit WarmStore(std::string dir, std::size_t mem_entries = 0);
+    ~WarmStore();
+
+    WarmStore(const WarmStore &) = delete;
+    WarmStore &operator=(const WarmStore &) = delete;
 
     /**
      * Look up the warm state for `key`. `config_hash` must be the
@@ -125,14 +133,18 @@ class WarmStore
         Payload payload;
     };
 
+    class Lock;
+
     void remember(const std::string &key, std::uint64_t config_hash,
                   Payload payload);
 
     std::string dir_;
     std::size_t memCap_;
     DiskBudget budget_;
-    std::mutex mutex_;
+    std::mutex mutex_;  //!< guards mem_
     std::map<std::string, Entry> mem_;
+    std::mutex lockMutex_;  //!< in-process half of Lock
+    int lockFd_ = -1;       //!< the lock file, opened on first Lock
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> publishes_{0};

@@ -32,12 +32,14 @@
 #include "campaign/aggregate.hh"
 #include "campaign/campaign.hh"
 #include "campaign/queue.hh"
+#include "campaign/supervisor.hh"
 #include "campaign/worker.hh"
 #include "common/faultinject.hh"
 #include "dse/dse.hh"
 #include "harness/experiment.hh"
 #include "harness/factory.hh"
 #include "harness/runner.hh"
+#include "harness/warmstore.hh"
 #include "trace/suite.hh"
 #include "tests/test_support.hh"
 
@@ -132,6 +134,27 @@ readAll(const std::string &path)
     std::ifstream in(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(in),
                        std::istreambuf_iterator<char>());
+}
+
+/** Every entry of `dir` but `.` and `..`, hidden ones included. */
+std::vector<std::string>
+listDir(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    return names;
+}
+
+/** History lines that start with `prefix`. */
+std::size_t
+countLines(const std::vector<std::string> &lines,
+           const std::string &prefix)
+{
+    std::size_t n = 0;
+    for (const std::string &line : lines)
+        n += line.rfind(prefix, 0) == 0 ? 1 : 0;
+    return n;
 }
 
 /** The three-cell test sweep: two real jobs plus one poison job. */
@@ -650,6 +673,165 @@ TEST_F(CampaignTest, ReclaimResumesDeadOwnersCheckpointDeterministically)
 
     EXPECT_EQ(readAll(pathsA.reportFile()),
               readAll(pathsB.reportFile()));
+}
+
+// ---- per-job file traffic: what a clean job leaves behind ----
+
+TEST_F(CampaignTest, CleanCampaignLeavesOnlyDoneFilesAndOnePulse)
+{
+    EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
+    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
+    EnvGuard warm_dir("IPCP_WARM_DIR", nullptr);
+    EnvGuard warm("IPCP_WARM", nullptr);
+    TempDir dir;
+    const CampaignPaths paths(dir.file("camp"));
+    ASSERT_TRUE(initCampaignDirs(paths).ok());
+    CampaignSpec spec = tinySpec(false);
+    spec.jobs.push_back(CampaignJob{"619.lbm_s-2676B", "none"});
+    const std::size_t n = spec.jobs.size();
+    ASSERT_TRUE(writeManifest(paths, spec).ok());
+    ASSERT_EQ(runWorker(paths.root), 0);
+
+    // No lease, history, reclaim corpse or publish temp survives a
+    // clean job: only its done file, plus the worker's one beacon.
+    std::size_t done = 0;
+    std::size_t pulses = 0;
+    for (const std::string &name : listDir(paths.queueDir())) {
+        if (name.rfind("done-", 0) == 0)
+            ++done;
+        else if (name.rfind("pulse-", 0) == 0)
+            ++pulses;
+        else
+            ADD_FAILURE() << "unexpected queue file " << name;
+    }
+    EXPECT_EQ(done, n);
+    EXPECT_LE(pulses, 1u);
+
+    // One warm state per (trace, combo) prefix and one store lock, no
+    // per-key lock sidecars.
+    std::size_t states = 0;
+    std::size_t locks = 0;
+    for (const std::string &name : listDir(paths.warmDir())) {
+        if (name.rfind("warm-", 0) == 0 &&
+            name.size() > 5 && name.substr(name.size() - 5) == ".ckpt")
+            ++states;
+        else if (name == WarmStore::kLockFile)
+            ++locks;
+        else
+            ADD_FAILURE() << "unexpected warm file " << name;
+    }
+    EXPECT_EQ(states, n);
+    EXPECT_EQ(locks, 1u);
+
+    // The done files alone carry the totals: one attempt and one
+    // warm hit or miss per job.
+    Result<CampaignTotals> totals = writeSummary(paths, spec);
+    ASSERT_TRUE(totals.ok());
+    EXPECT_EQ(totals.value().done, n);
+    EXPECT_EQ(totals.value().attempts, n);
+    EXPECT_EQ(totals.value().warmHits + totals.value().warmMisses, n);
+    EXPECT_EQ(totals.value().warmMisses, n);
+    EXPECT_EQ(totals.value().reclaims, 0u);
+}
+
+TEST_F(CampaignTest, FailedAttemptLogsAttemptAndFailure)
+{
+    EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
+    EnvGuard budget("IPCP_QUARANTINE_AFTER", "2");
+    TempDir dir;
+    const CampaignPaths paths(dir.file("camp"));
+    ASSERT_TRUE(initCampaignDirs(paths).ok());
+    CampaignSpec spec = tinySpec(false);
+    // Materializes, then fails every attempt when the combo attaches.
+    spec.jobs[1].combo = "bogus-combo";
+    ASSERT_TRUE(writeManifest(paths, spec).ok());
+    ASSERT_EQ(runWorker(paths.root), 0);
+
+    const ExperimentConfig cfg = campaignConfig(paths, spec);
+    WorkQueue queue(queueConfig(paths.queueDir()), "test");
+    const std::string clean = keyHash(keyOf(spec.jobs[0], cfg));
+    const std::string bogus = keyHash(keyOf(spec.jobs[1], cfg));
+    EXPECT_EQ(queue.state(clean), JobState::Done);
+    EXPECT_FALSE(std::filesystem::exists(queue.attemptsPath(clean)));
+    EXPECT_TRUE(queue.history(clean).empty());
+
+    // Each failed attempt is charged by its own worker with an
+    // attempt line and its error, until the budget parks the job.
+    ASSERT_EQ(queue.state(bogus), JobState::Quarantined);
+    const std::vector<std::string> lines = queue.history(bogus);
+    EXPECT_EQ(countLines(lines, "attempt owner=w"), 2u);
+    EXPECT_EQ(countLines(lines, "fail owner=w"), 2u);
+    EXPECT_TRUE(historyContains(lines, "kind=claim"));
+    EXPECT_TRUE(historyContains(lines, "unknown combo"));
+    EXPECT_TRUE(historyContains(lines, "attempt budget exhausted"));
+
+    Result<CampaignTotals> totals = writeSummary(paths, spec);
+    ASSERT_TRUE(totals.ok());
+    EXPECT_EQ(totals.value().attempts, 3u);
+    EXPECT_EQ(totals.value().warmHits + totals.value().warmMisses, 1u);
+}
+
+TEST_F(CampaignTest, ReclaimedOrphansCountTowardTheAttemptBudget)
+{
+    TempDir dir;
+    QueueConfig cfg = queueConfig(dir.path);
+    cfg.quarantineAfter = 2;
+    WorkQueue alpha(cfg, "alpha");
+    WorkQueue beta(cfg, "beta");
+    WorkQueue gamma(cfg, "gamma");
+    const std::string hash = "00000000deadbeef";
+
+    // alpha dies holding the lease; beta's reclaim charges alpha's
+    // attempt, and beta starts the second one.
+    Result<Claim> first = alpha.tryClaim(hash);
+    ASSERT_TRUE(first.ok() && first.value().claimed);
+    EXPECT_FALSE(std::filesystem::exists(alpha.attemptsPath(hash)));
+    backdate(alpha.leasePath(hash), 120.0);
+    Result<Claim> second = beta.tryClaim(hash);
+    ASSERT_TRUE(second.ok() && second.value().claimed);
+    EXPECT_TRUE(second.value().reclaimed);
+    EXPECT_EQ(beta.attemptCount(hash), 1u);
+    EXPECT_TRUE(historyContains(beta.history(hash),
+                                "attempt owner=beta kind=reclaim "
+                                "prior=alpha"));
+
+    // beta dies too. Charging its attempt spends the budget, so
+    // gamma parks the job instead of starting a third attempt.
+    backdate(beta.leasePath(hash), 120.0);
+    Result<Claim> third = gamma.tryClaim(hash);
+    ASSERT_TRUE(third.ok());
+    EXPECT_FALSE(third.value().claimed);
+    EXPECT_EQ(gamma.state(hash), JobState::Quarantined);
+    EXPECT_FALSE(std::filesystem::exists(gamma.leasePath(hash)));
+    const std::vector<std::string> lines = gamma.history(hash);
+    EXPECT_EQ(countLines(lines, "attempt "), 2u);
+    EXPECT_EQ(countLines(lines, "orphaned "), 2u);
+    EXPECT_TRUE(historyContains(lines, "prior=beta"));
+    EXPECT_TRUE(historyContains(lines, "attempt budget exhausted"));
+}
+
+TEST_F(CampaignTest, StallKilledJobKeepsItsAttemptInQuarantine)
+{
+    TempDir dir;
+    WorkQueue worker(queueConfig(dir.path), "w4242");
+    WorkQueue supervisor(queueConfig(dir.path), "supervisor");
+    const std::string hash = "00000000deadbeef";
+
+    Result<Claim> claim = worker.tryClaim(hash);
+    ASSERT_TRUE(claim.ok() && claim.value().claimed);
+    worker.writePulse(7, hash);
+
+    quarantineStalled(supervisor, hash, "w4242");
+    EXPECT_EQ(supervisor.state(hash), JobState::Quarantined);
+    EXPECT_FALSE(
+        std::filesystem::exists(supervisor.pulsePath("w4242")));
+    const std::vector<std::string> lines = supervisor.history(hash);
+    EXPECT_EQ(countLines(lines, "attempt "), 1u);
+    EXPECT_TRUE(historyContains(
+        lines, "attempt owner=supervisor kind=reclaim prior=w4242"));
+    EXPECT_TRUE(historyContains(lines, "stalled: progress epoch"));
+    EXPECT_TRUE(historyContains(
+        lines, "stalled worker killed by supervisor watchdog"));
 }
 
 // ---- multi-process contention (real forked workers) ----

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -335,15 +336,25 @@ TEST_F(FaultTest, WatchdogFailsOverrunWithoutRetry)
 {
     const ExperimentConfig cfg = tinyConfig();
     const std::vector<Job> jobs = threeJobs(cfg);
-    // Job 0's first attempt is delayed well past the budget; the
-    // overrun must fail the job and must not be retried.
+    // The budget comes from timing the two jobs that must pass, in
+    // this build and on this host: ten times the slower of them (a
+    // fixed budget was overrun by those jobs under IPCP_AUDIT=1).
+    Runner timing(1);
+    timing.run({jobs[1], jobs[2]});
+    const double slowest = std::max(timing.lastBatch().perJob[0].seconds,
+                                    timing.lastBatch().perJob[1].seconds);
+    const double budget = std::max(10.0 * slowest, 0.02);
+    // Job 0's first attempt sleeps three budgets, so its overrun is
+    // certain; the overrun must fail the job and must not be retried.
+    const auto sleep_ms = static_cast<unsigned>(3000.0 * budget) + 1;
     ASSERT_TRUE(FaultRegistry::instance()
-                    .configure("job.body@1=sleep:100")
+                    .configure("job.body@1=sleep:" +
+                               std::to_string(sleep_ms))
                     .ok());
     Runner r(1);
     r.setMaxAttempts(2);
     r.setRetryBackoffMs(0);
-    r.setJobTimeout(0.02);
+    r.setJobTimeout(budget);
     const std::vector<JobOutcome> outs = r.run(jobs);
     ASSERT_FALSE(outs[0].ok);
     EXPECT_TRUE(outs[0].timedOut);

@@ -113,7 +113,8 @@ EOF
     local terminal
     terminal=$(find "$dir/queue" \( -name 'done-*' -o -name 'quarantine-*' \) | wc -l)
     [ "$terminal" -eq "$JOBS" ] || die "expected $JOBS terminal markers, found $terminal"
-    # (attempts-* files are kept on purpose: summary provenance.)
+    # (attempts-* files stay on purpose: the history of jobs whose
+    # attempts did not all go cleanly, read into summary.json.)
     local litter
     litter=$(find "$dir/queue" \( -name 'lease-*' -o -name '.tmp-*' -o -name 'rip-*' \) | wc -l)
     [ "$litter" -eq 0 ] || die "queue litter left behind: $(ls "$dir/queue")"

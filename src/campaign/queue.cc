@@ -168,6 +168,15 @@ WorkQueue::isTerminal(const std::string &hash) const
            fileExists(quarantinePath(hash));
 }
 
+bool
+WorkQueue::holds(const std::string &hash, const std::string &nonce) const
+{
+    std::string owner;
+    std::string current;
+    return readLease(leasePath(hash), owner, current) &&
+           current == nonce;
+}
+
 std::string
 WorkQueue::freshNonce() const
 {
@@ -262,8 +271,6 @@ WorkQueue::tryClaim(const std::string &hash)
 
     if (!createExclusive(lease, content))
         return Claim{};  // a fresh claimant slipped in; it wins
-    claim.reclaimed = true;
-    claim.priorOwner = prior_owner;
     return hold(claim);
 }
 
@@ -273,13 +280,10 @@ WorkQueue::heartbeat(const std::string &hash,
 {
     if (auto fault = faultCheck(faults::kQueueHeartbeat, hash))
         return *fault;
-    const std::string lease = leasePath(hash);
-    std::string owner;
-    std::string current;
-    if (!readLease(lease, owner, current) || current != nonce)
+    if (!holds(hash, nonce))
         return makeError(Errc::lock_failed,
                          "lease " + hash + " lost (reclaimed)");
-    if (::utimensat(AT_FDCWD, lease.c_str(), nullptr, 0) != 0)
+    if (::utimensat(AT_FDCWD, leasePath(hash).c_str(), nullptr, 0) != 0)
         return makeError(Errc::io,
                          "cannot renew lease " + hash, true);
     return Status();
@@ -294,6 +298,16 @@ WorkQueue::recordAttempt(const std::string &hash, bool reclaimed,
                                   " kind=reclaim prior=" + prior_owner
                             : "attempt owner=" + owner_ +
                                   " kind=claim");
+}
+
+bool
+WorkQueue::chargeAttempt(const std::string &hash,
+                         const std::string &nonce) const
+{
+    if (!holds(hash, nonce))
+        return false;
+    recordAttempt(hash, false, "");
+    return true;
 }
 
 void
@@ -345,10 +359,7 @@ WorkQueue::publishDone(const std::string &hash, const std::string &key,
                        const std::string &nonce,
                        const Outcome &outcome) const
 {
-    std::string owner;
-    std::string current;
-    if (!readLease(leasePath(hash), owner, current) ||
-        current != nonce)
+    if (!holds(hash, nonce))
         return makeError(Errc::lock_failed,
                          "lease " + hash +
                              " lost before publish (reclaimed)");
@@ -416,10 +427,7 @@ void
 WorkQueue::release(const std::string &hash,
                    const std::string &nonce) const
 {
-    std::string owner;
-    std::string current;
-    if (readLease(leasePath(hash), owner, current) &&
-        current == nonce)
+    if (holds(hash, nonce))
         ::unlink(leasePath(hash).c_str());
 }
 

@@ -47,10 +47,10 @@
  * rename succeeds — then verifies the corpse still carries the nonce
  * it read before renaming (a lease recreated in the race window is
  * restored, not stolen), charges the orphaned attempt, and re-creates
- * the lease O_EXCL unless that charge used up the budget. Heartbeat
- * and publishDone verify the caller's nonce first, so a worker whose
- * lease was reclaimed while it was stalled can neither renew nor
- * publish.
+ * the lease O_EXCL unless that charge used up the budget. Heartbeat,
+ * publishDone and chargeAttempt verify the caller's nonce first, so a
+ * worker whose lease was reclaimed while it was stalled can neither
+ * renew, publish, nor charge the attempt its reclaimer charged.
  * Quarantine renames the attempts log, preserving the full error
  * history atomically. Declares the `queue.claim`, `queue.heartbeat`
  * and `queue.reclaim` fault-injection points.
@@ -94,9 +94,7 @@ enum class JobState
 struct Claim
 {
     bool claimed = false;
-    bool reclaimed = false;    //!< won an expired lease
-    std::string priorOwner;    //!< when reclaimed
-    std::string nonce;         //!< pass to heartbeat/publishDone/release
+    std::string nonce;  //!< pass to heartbeat/publishDone/release
 };
 
 /** One scan() of the whole queue. */
@@ -164,6 +162,16 @@ class WorkQueue
      */
     void recordAttempt(const std::string &hash, bool reclaimed,
                        const std::string &prior_owner) const;
+
+    /**
+     * Charge this owner's attempt on lease `nonce` (`kind=claim`) iff
+     * the lease is still its own. False, charging nothing, when the
+     * lease was reclaimed: the reclaimer charged the attempt already
+     * and now runs the job, so it must not be charged twice or
+     * quarantined on this owner's account.
+     */
+    bool chargeAttempt(const std::string &hash,
+                       const std::string &nonce) const;
 
     /** Append a failure line (the attempt's error) to the history. */
     void recordFailure(const std::string &hash,
@@ -253,6 +261,8 @@ class WorkQueue
                    std::string &job_hash) const;
 
   private:
+    /** True while `nonce` names the job's current lease. */
+    bool holds(const std::string &hash, const std::string &nonce) const;
     std::string freshNonce() const;
     void appendHistory(const std::string &hash,
                        const std::string &line) const;

@@ -122,8 +122,9 @@ struct WorkItem
 
 /**
  * Execute one claimed job and publish its done file. An attempt that
- * ends any other way is charged here (recordAttempt) before its lease
- * is given back.
+ * ends any other way is charged here (chargeAttempt) before its lease
+ * is given back, unless a reclaimer took the lease mid-run and
+ * charged it already.
  */
 void
 processItem(WorkQueue &queue, Runner &runner, Heartbeat &heartbeat,
@@ -191,13 +192,11 @@ processItem(WorkQueue &queue, Runner &runner, Heartbeat &heartbeat,
         // The done file is the outcome (warm start included): once it
         // lands the result is durable and the attempt needs no other
         // record. If it cannot land, give the lease back for a later
-        // attempt, charging this one unless a reclaimer took the lease
-        // from us mid-run and charged it already.
+        // attempt, charging this one.
         if (Status s = queue.publishDone(item.hash, item.key,
                                          claim.nonce, out.outcome);
             !s.ok()) {
-            if (s.error().code != Errc::lock_failed)
-                queue.recordAttempt(item.hash, false, "");
+            queue.chargeAttempt(item.hash, claim.nonce);
             queue.recordFailure(item.hash, "outcome publish failed: " +
                                                s.error().message);
             queue.release(item.hash, claim.nonce);
@@ -205,7 +204,9 @@ processItem(WorkQueue &queue, Runner &runner, Heartbeat &heartbeat,
         return;
     }
 
-    queue.recordAttempt(item.hash, false, "");
+    // A worker that stalled past the TTL may have lost the lease to a
+    // reclaimer, which charged this attempt and now runs the job.
+    const bool charged = queue.chargeAttempt(item.hash, claim.nonce);
     if (shutdownRequested()) {
         // Drain: the runner skipped or truncated this attempt. It is
         // charged like any started attempt, but not as a failure.
@@ -213,7 +214,8 @@ processItem(WorkQueue &queue, Runner &runner, Heartbeat &heartbeat,
         return;
     }
     queue.recordFailure(item.hash, out.error);
-    queue.quarantineIfSpent(item.hash);
+    if (charged)
+        queue.quarantineIfSpent(item.hash);
     queue.release(item.hash, claim.nonce);
 }
 

@@ -17,11 +17,10 @@
  * sweep(payload_size) before each publish.
  *
  * Eviction takes no lock of its own. A store whose files have
- * publishers and healers sweeps under the lock they take (the
- * WarmStore's one store lock), and a reader that loses the race
- * observes a missing file: an ordinary miss that recomputes, never an
- * error. A budget of 0 disables the sweep entirely (the pre-quota
- * behaviour).
+ * healers sweeps under the lock they take (the WarmStore's one store
+ * lock), and a reader or publisher that loses the race observes a
+ * missing file: an ordinary miss that recomputes, never an error. A
+ * budget of 0 disables the sweep entirely (the pre-quota behaviour).
  *
  * Evictions are counted per store kind, process-wide, and exported
  * through harnessCacheStats() as ipcp.gc.<kind>.evicted; campaign

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <sys/stat.h>
 
 #include "common/degrade.hh"
 #include "common/env.hh"
@@ -65,7 +66,7 @@ prepareSystem(const BuildFn &build, const ExperimentConfig &cfg,
     if (p.savePath.empty() && cfg.ckptEvery > 0 &&
         !cfg.ckptDir.empty() && !ckpt_key.empty()) {
         p.savePath = checkpointPathFor(cfg, ckpt_key);
-        p.derived = true;  // the Runner makes cfg.ckptDir
+        p.derived = true;  // fromEnv or the campaign made ckptDir
         // IPCP_CKPT_BUDGET_MB: a crashed campaign leaves derived
         // checkpoints behind; sweep the LRU ones so the dir cannot
         // grow without bound. Our own save target may be evicted by a
@@ -193,9 +194,14 @@ ExperimentConfig::fromEnv()
     cfg.mixes = static_cast<unsigned>(envU64("IPCP_MIXES", cfg.mixes));
     cfg.ckptEvery = envU64("IPCP_CKPT_EVERY", cfg.ckptEvery);
     cfg.ckptMinMs = envU64("IPCP_CKPT_MIN_MS", cfg.ckptMinMs);
+    // The artifact directories are made here, once, not per job. Best
+    // effort: a missing directory makes a save or export warn, never
+    // a job fail.
     if (const char *dir = std::getenv("IPCP_CKPT_DIR");
-        dir != nullptr && *dir != '\0')
+        dir != nullptr && *dir != '\0') {
         cfg.ckptDir = dir;
+        ::mkdir(dir, 0777);
+    }
     const char *warm = std::getenv("IPCP_WARM");
     if (warm == nullptr || std::string(warm) != "0") {
         if (const char *dir = std::getenv("IPCP_WARM_DIR");
@@ -203,8 +209,10 @@ ExperimentConfig::fromEnv()
             cfg.warmDir = dir;
     }
     if (const char *dir = std::getenv("IPCP_STATS_DIR");
-        dir != nullptr && *dir != '\0')
+        dir != nullptr && *dir != '\0') {
         cfg.statsDir = dir;
+        ::mkdir(dir, 0777);
+    }
     if (const char *path = std::getenv("IPCP_TRACE_EVENTS");
         path != nullptr && *path != '\0')
         cfg.traceEventsPath = path;

@@ -47,6 +47,7 @@ struct ExperimentConfig
      * missing or invalid file fails the run.
      *   IPCP_CKPT_EVERY  checkpoint interval in cycles (0 = off)
      *   IPCP_CKPT_DIR    directory for key-derived checkpoints
+     * `ckptDir` must exist; fromEnv() makes IPCP_CKPT_DIR.
      */
     Cycle ckptEvery = 0;
     std::string ckptDir;
@@ -87,7 +88,8 @@ struct ExperimentConfig
      * job (next to its cached results). `traceEventsPath` switches on
      * event tracing and writes the ring there in Chrome trace_event
      * format; `traceCapacity` bounds the in-memory ring (oldest events
-     * are overwritten). Export failures warn, they never fail a run.
+     * are overwritten). Export failures warn, they never fail a run;
+     * `statsDir` must exist, and fromEnv() makes IPCP_STATS_DIR.
      *   IPCP_STATS_DIR     runner per-job stats JSON directory
      *   IPCP_TRACE_EVENTS  trace output path (enables tracing)
      *   IPCP_TRACE_CAP     trace ring capacity (default 65536)

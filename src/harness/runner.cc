@@ -13,7 +13,6 @@
 #include <mutex>
 #include <thread>
 #include <utility>
-#include <sys/stat.h>
 
 #include "common/env.hh"
 #include "common/faultinject.hh"
@@ -423,18 +422,6 @@ Runner::execute(const std::vector<MixJob> &jobs,
     last_.executed = n;
     std::vector<MixJobOutcome> results(n);
     std::atomic<std::size_t> completed{0};
-    // Make the stats and checkpoint directories the jobs write into
-    // once per Runner, not once per job. Best effort: a missing
-    // directory makes the export or save warn, never the job fail.
-    for (const MixJob &job : jobs) {
-        if (!job.cfg.statsDir.empty() && job.cfg.statsJsonPath.empty() &&
-            madeDirs_.insert(job.cfg.statsDir).second)
-            ::mkdir(job.cfg.statsDir.c_str(), 0777);
-        if (job.cfg.ckptEvery > 0 && !job.cfg.ckptDir.empty() &&
-            job.cfg.ckptPath.empty() &&
-            madeDirs_.insert(job.cfg.ckptDir).second)
-            ::mkdir(job.cfg.ckptDir.c_str(), 0777);
-    }
     WatchdogMonitor watchdog(jobTimeout_, n);
     dispatch(n, [&](std::size_t e) {
         const MixJob &job = jobs[e];

@@ -38,7 +38,6 @@
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -253,7 +252,6 @@ class Runner
     double jobTimeout_;
     unsigned backoffMs_;
     BatchStats last_;
-    std::set<std::string> madeDirs_;  //!< artifact dirs made so far
 };
 
 } // namespace bouquet

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
@@ -57,6 +58,28 @@ fileBytes(const std::string &path)
     return static_cast<long>(st.st_size);
 }
 
+/**
+ * Remove the per-key `warm-<hex>.ckpt.lock` sidecars that builds
+ * before the one store lock left beside their warm files; nothing
+ * else would ever delete them.
+ */
+void
+removeKeyLockSidecars(const std::string &dir)
+{
+    DIR *d = ::opendir(dir.c_str());
+    if (d == nullptr)
+        return;
+    const std::string suffix = ".ckpt.lock";
+    while (const dirent *entry = ::readdir(d)) {
+        const std::string name = entry->d_name;
+        if (name.rfind("warm-", 0) == 0 && name.size() > suffix.size() &&
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) == 0)
+            ::unlink((dir + "/" + name).c_str());
+    }
+    ::closedir(d);
+}
+
 std::size_t
 defaultMemEntries()
 {
@@ -66,13 +89,14 @@ defaultMemEntries()
 } // namespace
 
 /**
- * The store's critical section: lockMutex_ within the process, flock
- * on the directory's one lock file across processes. The first Lock
- * makes the directory and opens the lock file, which stays open for
- * the store's life. Failure to open or flock it is survivable:
- * publish stays atomic through the container's tmp+rename, and a
- * reader that heals without the lock can at worst unlink a
- * just-published complete file, costing a re-publish, not correctness.
+ * The store's critical section for the operations that unlink: heals
+ * and budget sweeps. lockMutex_ within the process, flock on the
+ * directory's one lock file across processes. The first Lock makes
+ * the directory and opens the lock file, which stays open for the
+ * store's life. Publishes write outside it (their tmp+rename is
+ * atomic), so an unlink can at worst remove a just-published complete
+ * file, costing a re-publish, not correctness; the same holds when
+ * the lock file cannot be opened or flocked.
  */
 class WarmStore::Lock
 {
@@ -135,6 +159,7 @@ WarmStore::WarmStore(std::string dir, std::size_t mem_entries)
       budget_(dir_, "warm-", ".ckpt",
               envBudgetBytes("IPCP_WARM_BUDGET_MB"), BudgetKind::warm)
 {
+    removeKeyLockSidecars(dir_);
     if (budget_.enabled()) {
         Lock lock(*this);
         budget_.sweep();  // reclaim an over-budget dir left by a crash
@@ -220,17 +245,26 @@ WarmStore::publish(const std::string &key, std::uint64_t config_hash,
     remember(key, config_hash, shared);
     publishes_.fetch_add(1);
 
-    Lock lock(*this);
-    // Make room before (not after) the write: evicting the LRU warm
-    // states first keeps the new publish from hitting ENOSPC that the
-    // budget could have prevented.
-    budget_.sweep(shared->size());
+    {
+        // Make room before (not after) the write: evicting the LRU
+        // warm states first keeps the new publish from hitting ENOSPC
+        // that the budget could have prevented.
+        Lock lock(*this);
+        budget_.sweep(shared->size());
+    }
     const std::string path = pathFor(key);
-    const long existing = fileBytes(path);
-    if (existing > 0)
+    if (fileBytes(path) > 0)
         return Status();  // racing publisher already wrote these bytes
-    if (existing == 0)
-        ::unlink(path.c_str());  // zero-byte crash residue: heal
+    {
+        // publishFile's temp name is unique per process, not per
+        // thread: one thread here writes a key, and a racing thread
+        // leaves it to that one, which writes the same bytes.
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!writing_.insert(key).second)
+            return Status();
+    }
+    // The rename replaces a zero-byte crash residue, and both fsyncs
+    // run outside every lock, in parallel with other publishes.
     Status st = Status();
     if (faultCheck(faults::kWarmNospace, path))
         st = Status(makeError(Errc::no_space,
@@ -238,6 +272,10 @@ WarmStore::publish(const std::string &key, std::uint64_t config_hash,
                               true));
     else
         st = writeCheckpointFile(path, config_hash, *shared);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        writing_.erase(key);
+    }
     if (!st.ok())
         noteDegraded(DegradeKind::warm, st.error());
     return st;

@@ -18,14 +18,15 @@
  *  - cross-process: checkpoint-container files under the store
  *    directory (campaign workers point IPCP_WARM_DIR at a shared
  *    path), written with the same atomic tmp+fsync+rename and CRC
- *    discipline as periodic checkpoints, published under the store's
- *    one flock (`<dir>/store.lock`) so concurrent writers of a key
- *    never interleave.
+ *    discipline as periodic checkpoints. Writers of one key write the
+ *    same bytes, so racing publishes need no lock: the last rename
+ *    wins.
  *
  * A stale, truncated, or corrupt warm file is never an error — it
- * heals to a miss: the reader revalidates under the lock and unlinks
- * the file (OutcomeStore's zero-byte self-healing, generalized), and
- * the run simulates its warmup normally.
+ * heals to a miss: the reader revalidates under the store's one flock
+ * (`<dir>/store.lock`, which budget sweeps also take) and unlinks the
+ * file (OutcomeStore's zero-byte self-healing, generalized), and the
+ * run simulates its warmup normally.
  */
 
 #ifndef BOUQUET_HARNESS_WARMSTORE_HH
@@ -36,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,7 +81,8 @@ class WarmStore
     /** Immutable shared payload: loaders read, never mutate. */
     using Payload = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-    /** The one lock file every process sharing `dir` flocks. */
+    /** The one lock file every process sharing `dir` flocks to heal
+     *  or sweep. */
     static constexpr const char *kLockFile = "store.lock";
 
     /**
@@ -106,8 +109,9 @@ class WarmStore
     /**
      * Publish the warm state for `key`: cache it in-process and write
      * the container file (skipped when a complete file already exists
-     * — keys are deterministic, so whoever won the race wrote the
-     * same bytes). The returned Status reports the disk write;
+     * or another thread of this process is writing it — keys are
+     * deterministic, so whoever won the race writes the same bytes).
+     * The returned Status reports this call's disk write;
      * in-process sharing works even when it fails, and an
      * out-of-space failure is counted as a degraded warm publish.
      * Declares the `warm.nospace` fault-injection point.
@@ -141,8 +145,9 @@ class WarmStore
     std::string dir_;
     std::size_t memCap_;
     DiskBudget budget_;
-    std::mutex mutex_;  //!< guards mem_
+    std::mutex mutex_;  //!< guards mem_ and writing_
     std::map<std::string, Entry> mem_;
+    std::set<std::string> writing_;  //!< keys this process is writing
     std::mutex lockMutex_;  //!< in-process half of Lock
     int lockFd_ = -1;       //!< the lock file, opened on first Lock
     std::atomic<std::uint64_t> hits_{0};

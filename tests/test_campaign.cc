@@ -298,7 +298,7 @@ TEST_F(CampaignTest, ClaimIsExclusiveUntilReleased)
     Result<Claim> first = alpha.tryClaim(hash);
     ASSERT_TRUE(first.ok());
     ASSERT_TRUE(first.value().claimed);
-    EXPECT_FALSE(first.value().reclaimed);
+    EXPECT_FALSE(std::filesystem::exists(alpha.attemptsPath(hash)));
     EXPECT_EQ(alpha.state(hash), JobState::Leased);
 
     // A live lease is not claimable or reclaimable by anyone else.
@@ -315,7 +315,7 @@ TEST_F(CampaignTest, ClaimIsExclusiveUntilReleased)
     Result<Claim> third = beta.tryClaim(hash);
     ASSERT_TRUE(third.ok());
     EXPECT_TRUE(third.value().claimed);
-    EXPECT_FALSE(third.value().reclaimed);
+    EXPECT_FALSE(std::filesystem::exists(beta.attemptsPath(hash)));
 }
 
 TEST_F(CampaignTest, ExpiredLeaseIsReclaimedAndOldOwnerFencedOut)
@@ -336,10 +336,11 @@ TEST_F(CampaignTest, ExpiredLeaseIsReclaimedAndOldOwnerFencedOut)
     Result<Claim> takeover = beta.tryClaim(hash);
     ASSERT_TRUE(takeover.ok());
     ASSERT_TRUE(takeover.value().claimed);
-    EXPECT_TRUE(takeover.value().reclaimed);
-    EXPECT_EQ(takeover.value().priorOwner, "alpha");
     EXPECT_TRUE(
         historyContains(beta.history(hash), "orphaned prior=alpha"));
+    EXPECT_TRUE(historyContains(beta.history(hash),
+                                "attempt owner=beta kind=reclaim "
+                                "prior=alpha"));
 
     // The reclaimed-from owner can neither renew nor publish.
     EXPECT_FALSE(alpha.heartbeat(hash, dead.value().nonce).ok());
@@ -789,7 +790,6 @@ TEST_F(CampaignTest, ReclaimedOrphansCountTowardTheAttemptBudget)
     backdate(alpha.leasePath(hash), 120.0);
     Result<Claim> second = beta.tryClaim(hash);
     ASSERT_TRUE(second.ok() && second.value().claimed);
-    EXPECT_TRUE(second.value().reclaimed);
     EXPECT_EQ(beta.attemptCount(hash), 1u);
     EXPECT_TRUE(historyContains(beta.history(hash),
                                 "attempt owner=beta kind=reclaim "
@@ -808,6 +808,39 @@ TEST_F(CampaignTest, ReclaimedOrphansCountTowardTheAttemptBudget)
     EXPECT_EQ(countLines(lines, "orphaned "), 2u);
     EXPECT_TRUE(historyContains(lines, "prior=beta"));
     EXPECT_TRUE(historyContains(lines, "attempt budget exhausted"));
+}
+
+TEST_F(CampaignTest, OwnerThatLostItsLeaseDoesNotChargeTheAttempt)
+{
+    TempDir dir;
+    QueueConfig cfg = queueConfig(dir.path);
+    cfg.quarantineAfter = 2;
+    WorkQueue alpha(cfg, "alpha");
+    WorkQueue beta(cfg, "beta");
+    const std::string hash = "00000000deadbeef";
+
+    // alpha stalls past the TTL; beta reclaims and charges alpha's
+    // attempt.
+    Result<Claim> stalled = alpha.tryClaim(hash);
+    ASSERT_TRUE(stalled.ok() && stalled.value().claimed);
+    backdate(alpha.leasePath(hash), 120.0);
+    Result<Claim> takeover = beta.tryClaim(hash);
+    ASSERT_TRUE(takeover.ok() && takeover.value().claimed);
+    EXPECT_EQ(beta.attemptCount(hash), 1u);
+
+    // alpha resumes and its attempt fails: the attempt was charged
+    // already, so alpha charges nothing and beta keeps the job.
+    EXPECT_FALSE(alpha.chargeAttempt(hash, stalled.value().nonce));
+    EXPECT_EQ(alpha.attemptCount(hash), 1u);
+    EXPECT_FALSE(alpha.isTerminal(hash));
+    EXPECT_EQ(alpha.state(hash), JobState::Leased);
+
+    // beta's attempt is the second; ending it spends the budget.
+    EXPECT_TRUE(beta.chargeAttempt(hash, takeover.value().nonce));
+    EXPECT_EQ(beta.attemptCount(hash), 2u);
+    EXPECT_TRUE(historyContains(beta.history(hash),
+                                "attempt owner=beta kind=claim"));
+    EXPECT_TRUE(beta.quarantineIfSpent(hash));
 }
 
 TEST_F(CampaignTest, StallKilledJobKeepsItsAttemptInQuarantine)

@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/aggregate.hh"
@@ -176,6 +177,71 @@ TEST(WarmStore, PublishThenFetchAcrossInstances)
     EXPECT_EQ(reader.fetch("k|other", 0xabcd), nullptr);
     EXPECT_EQ(reader.misses(), 1u);
     EXPECT_EQ(reader.heals(), 0u);
+}
+
+TEST(WarmStore, ConcurrentPublishesLeaveOneCompleteFilePerKey)
+{
+    TempDir dir;
+    WarmStore store(dir.file("warm"));
+    const std::vector<std::uint8_t> payload(8192, 0x3c);
+    // Two threads per key: same-key writers race, and every key's
+    // fsyncs run alongside the others'.
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < 8; ++t)
+        threads.emplace_back([&store, &payload, t] {
+            EXPECT_TRUE(
+                store.publish("k|" + std::to_string(t % 4), 5, payload)
+                    .ok());
+        });
+    for (std::thread &t : threads)
+        t.join();
+
+    std::size_t warm_files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir.file("warm"))) {
+        const std::string name = entry.path().filename().string();
+        if (name == WarmStore::kLockFile)
+            continue;
+        EXPECT_EQ(name.rfind("warm-", 0), 0u) << name;
+        ++warm_files;
+    }
+    EXPECT_EQ(warm_files, 4u);
+    WarmStore reader(dir.file("warm"));
+    for (unsigned k = 0; k < 4; ++k) {
+        WarmStore::Payload got =
+            reader.fetch("k|" + std::to_string(k), 5);
+        ASSERT_NE(got, nullptr) << k;
+        EXPECT_TRUE(*got == payload) << k;
+    }
+    EXPECT_EQ(reader.heals(), 0u);
+}
+
+TEST(WarmStore, PublishReplacesZeroByteResidue)
+{
+    TempDir dir;
+    const std::string key = "k|residue";
+    const std::vector<std::uint8_t> payload(512, 0x11);
+    WarmStore store(dir.file("warm"));
+    std::filesystem::create_directories(dir.file("warm"));
+    writeAll(store.pathFor(key), "");
+    ASSERT_TRUE(store.publish(key, 3, payload).ok());
+    WarmStore reader(dir.file("warm"));
+    WarmStore::Payload got = reader.fetch(key, 3);
+    ASSERT_NE(got, nullptr);
+    EXPECT_TRUE(*got == payload);
+}
+
+TEST(WarmStore, OpeningRemovesPerKeyLockSidecars)
+{
+    TempDir dir;
+    const std::string warm = dir.file("warm");
+    std::filesystem::create_directories(warm);
+    writeAll(warm + "/warm-00000000deadbeef.ckpt.lock", "");
+    writeAll(warm + "/other.lock", "");
+    WarmStore store(warm);
+    EXPECT_FALSE(std::filesystem::exists(
+        warm + "/warm-00000000deadbeef.ckpt.lock"));
+    EXPECT_TRUE(std::filesystem::exists(warm + "/other.lock"));
 }
 
 TEST(WarmStore, UnusableWarmFilesHealToMiss)

@@ -170,15 +170,6 @@ keyOf(const CampaignJob &job, const ExperimentConfig &cfg)
     return jobKey(job.trace, job.combo, cfg);
 }
 
-std::string
-keyHash(const std::string &key)
-{
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(fnv1a(key)));
-    return hex;
-}
-
 Result<Job>
 materialize(const CampaignJob &job, const ExperimentConfig &cfg)
 {

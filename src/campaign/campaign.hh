@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/errors.hh"
+#include "common/stateio.hh"  // keyHash names every per-job file
 #include "harness/runner.hh"
 
 namespace bouquet::campaign
@@ -103,9 +104,6 @@ ExperimentConfig campaignConfig(const CampaignPaths &paths,
  * jobs too.
  */
 std::string keyOf(const CampaignJob &job, const ExperimentConfig &cfg);
-
-/** 16-hex-digit FNV-1a of a job key: names every per-job file. */
-std::string keyHash(const std::string &key);
 
 /**
  * Turn a campaign job into a runnable harness Job. Fails with

@@ -457,35 +457,35 @@ WorkQueue::scan(const std::vector<std::string> &hashes) const
         }
     }
 
-    // Reap litter left by crashed processes. The opendir can itself
-    // fail under resource exhaustion (EMFILE, ENOMEM); that only
-    // defers the sweep to the next scan — a degraded pass, never an
-    // error. Two families:
+    // Reap litter left by crashed processes past 2×TTL: publish temps
+    // (see removeStaleFiles) and
     //  - rip-* reclaim corpses (a reclaimer crashed between its
     //    rename and unlink; the job reads as pending, so the corpse
     //    is pure litter once its lease would have expired);
     //  - pulse-* progress beacons whose worker stopped beating (the
     //    worker died; the supervisor reads pulses by pid, so an old
-    //    beacon is never consulted again);
-    //  - hidden publish temps (`.done-<hash>.tmp.<pid>` from
-    //    publishFile, `.tmp-done-*` from older workers) left by a
-    //    worker killed mid-publish; a live publish renames its temp
-    //    away long before 2×TTL.
-    if (DIR *dir = ::opendir(cfg_.dir.c_str()); dir != nullptr) {
-        while (const dirent *entry = ::readdir(dir)) {
-            const std::string name = entry->d_name;
-            const bool publish_temp =
-                name[0] == '.' && name.find(".tmp") != std::string::npos;
-            if (name.rfind("rip-", 0) != 0 &&
-                name.rfind("pulse-", 0) != 0 && !publish_temp)
-                continue;
-            const std::string path = cfg_.dir + "/" + name;
-            if (fileAge(path) > 2.0 * cfg_.leaseTtl)
-                ::unlink(path.c_str());
-        }
-        ::closedir(dir);
-    }
+    //    beacon is never consulted again).
+    removeStaleFiles(cfg_.dir, 2.0 * cfg_.leaseTtl, {"rip-", "pulse-"});
     return counts;
+}
+
+void
+removeStaleFiles(const std::string &dir, double max_age,
+                 std::initializer_list<const char *> prefixes)
+{
+    DIR *d = ::opendir(dir.c_str());
+    if (d == nullptr)
+        return;
+    while (const dirent *entry = ::readdir(d)) {
+        const std::string name = entry->d_name;
+        bool stale = name[0] == '.' && name.find(".tmp") != std::string::npos;
+        for (const char *prefix : prefixes)
+            stale = stale || name.rfind(prefix, 0) == 0;
+        const std::string path = dir + "/" + name;
+        if (stale && fileAge(path) > max_age)
+            ::unlink(path.c_str());
+    }
+    ::closedir(d);
 }
 
 std::string

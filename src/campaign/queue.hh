@@ -60,6 +60,7 @@
 #define BOUQUET_CAMPAIGN_QUEUE_HH
 
 #include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,17 @@ class WorkQueue
     QueueConfig cfg_;
     std::string owner_;
 };
+
+/**
+ * Unlink the litter of processes killed mid-write from `dir`: files
+ * older than `max_age` seconds that are hidden publish temps
+ * (`.<name>.tmp.<pid>` from publishFile, `.tmp-done-*` from older
+ * workers) or start with one of `prefixes`. A live publish renames
+ * its temp away long before any such age. Best effort: a directory
+ * that cannot be opened (missing, EMFILE, ENOMEM) defers the sweep.
+ */
+void removeStaleFiles(const std::string &dir, double max_age,
+                      std::initializer_list<const char *> prefixes = {});
 
 } // namespace bouquet::campaign
 

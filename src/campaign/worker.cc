@@ -240,6 +240,9 @@ runWorker(const std::string &root)
     const ExperimentConfig cfg = campaignConfig(paths, spec);
     const std::string owner = "w" + std::to_string(::getpid());
     WorkQueue queue(QueueConfig::fromEnv(paths.queueDir()), owner);
+    // A worker killed during a checkpoint save leaves its publish temp
+    // in ckpts/; queue scans never look there.
+    removeStaleFiles(paths.ckptDir(), 2.0 * queue.config().leaseTtl);
     Runner runner(1);
     Heartbeat heartbeat(queue);
 
@@ -305,8 +308,7 @@ runWorker(const std::string &root)
               << " stats=" << stat("ipcp.degraded.stats.writes")
               << " | gc evicted="
               << (stat("ipcp.gc.store.evicted") +
-                  stat("ipcp.gc.warm.evicted") +
-                  stat("ipcp.gc.ckpt.evicted"))
+                  stat("ipcp.gc.warm.evicted"))
               << "\n";
     return 0;
 }

@@ -36,7 +36,6 @@ enum class Errc
     corrupt,       //!< checksum / structural validation failed
     lock_failed,   //!< advisory file lock could not be taken
     injected,      //!< raised by the fault-injection layer
-    timeout,       //!< watchdog wall-clock limit exceeded
     no_space,      //!< write failed for lack of disk space/quota
     failed,        //!< unclassified failure
 };
@@ -56,7 +55,6 @@ errcName(Errc code)
       case Errc::corrupt: return "corrupt";
       case Errc::lock_failed: return "lock-failed";
       case Errc::injected: return "injected";
-      case Errc::timeout: return "timeout";
       case Errc::no_space: return "no-space";
       case Errc::failed: return "failed";
     }

@@ -1,9 +1,7 @@
 #include "common/faultinject.hh"
 
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
-#include <thread>
 
 namespace bouquet
 {
@@ -85,12 +83,6 @@ parseClause(std::string_view text, FaultClause &clause)
         clause.action = FaultClause::Action::Fail;
     } else if (action == "fatal") {
         clause.action = FaultClause::Action::Fatal;
-    } else if (action.rfind("sleep:", 0) == 0) {
-        std::uint64_t ms = 0;
-        if (!parseU64(action.substr(6), ms) || ms > 60'000)
-            return fail("bad sleep milliseconds");
-        clause.action = FaultClause::Action::Sleep;
-        clause.sleepMs = static_cast<unsigned>(ms);
     } else {
         return fail("unknown action '" + std::string(action) + "'");
     }
@@ -163,37 +155,25 @@ std::optional<Error>
 FaultRegistry::check(std::string_view point, std::string_view context)
 {
     std::optional<Error> err;
-    unsigned sleep_ms = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (FaultClause &c : clauses_) {
-            if (c.point != point)
-                continue;
-            if (!c.match.empty() &&
-                context.find(c.match) == std::string_view::npos)
-                continue;
-            ++c.hits;
-            if (c.hits < c.from || c.hits > c.to)
-                continue;
-            ++c.fired;
-            if (c.action == FaultClause::Action::Sleep) {
-                sleep_ms += c.sleepMs;
-                continue;
-            }
-            if (!err) {
-                std::string what = "injected fault at " +
-                                   std::string(point);
-                if (!context.empty())
-                    what += " (" + std::string(context) + ")";
-                err = makeError(Errc::injected, std::move(what),
-                                c.action == FaultClause::Action::Fail);
-            }
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (FaultClause &c : clauses_) {
+        if (c.point != point)
+            continue;
+        if (!c.match.empty() &&
+            context.find(c.match) == std::string_view::npos)
+            continue;
+        ++c.hits;
+        if (c.hits < c.from || c.hits > c.to)
+            continue;
+        ++c.fired;
+        if (!err) {
+            std::string what = "injected fault at " + std::string(point);
+            if (!context.empty())
+                what += " (" + std::string(context) + ")";
+            err = makeError(Errc::injected, std::move(what),
+                            c.action == FaultClause::Action::Fail);
         }
     }
-    // Sleep outside the lock so latency injection never serializes
-    // unrelated points.
-    if (sleep_ms > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     return err;
 }
 

@@ -11,7 +11,7 @@
  *
  *   IPCP_FAULTS := clause (',' clause)*
  *   clause      := point ['~' match] '@' from ['-' to | '+'] ['=' action]
- *   action      := 'fail' | 'fatal' | 'sleep:' millis
+ *   action      := 'fail' | 'fatal'
  *
  *   point   one of: trace.read store.read store.write store.flock
  *                   job.body cache.fill ckpt.write ckpt.read
@@ -33,8 +33,6 @@
  *   action  'fail'  inject a transient (retry-eligible) error
  *                   [default]
  *           'fatal' inject a permanent error (never retried)
- *           'sleep' delay the caller, injecting latency rather than
- *                   failure (exercises the runner watchdog)
  *
  * Examples:
  *   IPCP_FAULTS='job.body~605.mcf@1'         first mcf job fails once
@@ -87,14 +85,13 @@ inline constexpr const char *kWorkerWedge = "worker.wedge";
 /** One parsed IPCP_FAULTS clause plus its firing counters. */
 struct FaultClause
 {
-    enum class Action { Fail, Fatal, Sleep };
+    enum class Action { Fail, Fatal };
 
     std::string point;
     std::string match;           //!< context substring ("" = any)
     std::uint64_t from = 1;      //!< first firing hit (1-based)
     std::uint64_t to = 1;        //!< last firing hit (inclusive)
     Action action = Action::Fail;
-    unsigned sleepMs = 0;
 
     std::uint64_t hits = 0;      //!< matching hits observed
     std::uint64_t fired = 0;     //!< hits that injected
@@ -128,8 +125,7 @@ class FaultRegistry
 
     /**
      * Record a hit of `point` with `context` and return the error to
-     * inject, if any. Sleep-action clauses block the caller here and
-     * return nothing. Thread-safe.
+     * inject, if any. Thread-safe.
      */
     std::optional<Error> check(std::string_view point,
                                std::string_view context);

@@ -9,6 +9,16 @@
 namespace bouquet
 {
 
+std::string
+formatRoundTripDouble(double d)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.15g", d);
+    if (std::strtod(buf, nullptr) != d)
+        std::snprintf(buf, sizeof buf, "%.17g", d);
+    return buf;
+}
+
 void
 JsonWriter::preElement()
 {
@@ -121,13 +131,7 @@ JsonWriter::value(double d)
         os_ << "null";
         return;
     }
-    // Shortest decimal form that round-trips: try %.15g, fall back to
-    // %.17g when it does not parse back to the same bits.
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.15g", d);
-    if (std::strtod(buf, nullptr) != d)
-        std::snprintf(buf, sizeof buf, "%.17g", d);
-    os_ << buf;
+    os_ << formatRoundTripDouble(d);
 }
 
 void

@@ -30,6 +30,13 @@
 namespace bouquet
 {
 
+/**
+ * The shortest of %.15g and %.17g that parses back to the same bits.
+ * JsonWriter writes finite doubles with it, and the DSE gate and the
+ * canonical IPCP combo strings use it, so each round-trips exactly.
+ */
+std::string formatRoundTripDouble(double d);
+
 /** Streaming JSON writer; see the file comment. */
 class JsonWriter
 {

@@ -90,6 +90,15 @@ crc32(const std::uint8_t *data, std::size_t size)
     return c ^ 0xFFFFFFFFu;
 }
 
+std::string
+keyHash(std::string_view key)
+{
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(fnv1a(key)));
+    return hex;
+}
+
 Status
 publishFile(const std::string &path, std::string_view bytes)
 {

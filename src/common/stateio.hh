@@ -81,6 +81,14 @@ fnv1a(std::uint64_t v, std::uint64_t h)
 }
 
 /**
+ * The file-name stem of a key: fnv1a(key) as 16 lowercase hex digits.
+ * Names every key-derived file (a campaign job's queue files, a
+ * derived checkpoint, a warm state, a job's stats JSON), so an
+ * artifact is found from its key alone.
+ */
+std::string keyHash(std::string_view key);
+
+/**
  * The bidirectional serialization visitor. One instance is either a
  * writer (appends to an internal buffer) or a reader (consumes a
  * caller-supplied payload).

@@ -15,6 +15,7 @@
 #include "campaign/supervisor.hh"
 #include "campaign/worker.hh"
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/stateio.hh"
 #include "harness/factory.hh"
 #include "ipcp/ipcp_l1.hh"
@@ -64,19 +65,6 @@ class WarmDirGuard
   private:
     bool set_ = false;
 };
-
-/** Shortest decimal form that parses back to the same bits (the
- *  JsonWriter/gate convention). */
-std::string
-formatRoundTripDouble(double d)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.15g", d);
-    double back = 0.0;
-    if (!parseDouble(buf, back) || back != d)
-        std::snprintf(buf, sizeof buf, "%.17g", d);
-    return buf;
-}
 
 Result<std::uint64_t>
 storageBitsFor(const std::string &combo)
@@ -137,7 +125,7 @@ scoreRung(const campaign::CampaignPaths &paths,
         const std::string key = campaign::keyOf(
             campaign::CampaignJob{trace, combo}, cfg);
         Result<Outcome> done =
-            queue.readDone(campaign::keyHash(key), key);
+            queue.readDone(keyHash(key), key);
         if (!done.ok())
             return makeError(Errc::failed,
                              "no outcome for " + trace + " under " +

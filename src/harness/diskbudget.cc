@@ -17,7 +17,7 @@ namespace bouquet
 namespace
 {
 
-std::atomic<std::uint64_t> evicted[3];
+std::atomic<std::uint64_t> evicted[2];
 
 struct Candidate
 {

@@ -3,10 +3,10 @@
  * Per-store disk quotas with LRU garbage collection (DESIGN.md §5i).
  *
  * Every on-disk cache the harness grows — the WarmStore's warm-state
- * containers, the derived-checkpoint directory, the OutcomeStore file
- * — is unbounded by construction: a campaign that sweeps enough
- * combos eventually fills the filesystem and every co-tenant store
- * with it. A DiskBudget bounds one directory family of files:
+ * containers and the OutcomeStore file — is unbounded by
+ * construction: a campaign that sweeps enough combos eventually fills
+ * the filesystem and every co-tenant store with it. A DiskBudget
+ * bounds one directory family of files:
  *
  *   DiskBudget(dir, prefix, suffix, budget_bytes, kind)
  *
@@ -42,7 +42,6 @@ enum class BudgetKind
 {
     store,  //!< OutcomeStore record GC (IPCP_STORE_BUDGET_MB)
     warm,   //!< warm-state containers (IPCP_WARM_BUDGET_MB)
-    ckpt,   //!< derived checkpoints (IPCP_CKPT_BUDGET_MB)
 };
 
 class DiskBudget

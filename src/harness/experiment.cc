@@ -10,7 +10,6 @@
 #include "common/rng.hh"
 #include "common/stateio.hh"
 #include "common/stats.hh"
-#include "harness/diskbudget.hh"
 #include "harness/statsjson.hh"
 #include "harness/warmstore.hh"
 
@@ -67,14 +66,6 @@ prepareSystem(const BuildFn &build, const ExperimentConfig &cfg,
         !cfg.ckptDir.empty() && !ckpt_key.empty()) {
         p.savePath = checkpointPathFor(cfg, ckpt_key);
         p.derived = true;  // fromEnv or the campaign made ckptDir
-        // IPCP_CKPT_BUDGET_MB: a crashed campaign leaves derived
-        // checkpoints behind; sweep the LRU ones so the dir cannot
-        // grow without bound. Our own save target may be evicted by a
-        // concurrent sweep — that only widens the recovery window.
-        DiskBudget(cfg.ckptDir, "ckpt-", ".ckpt",
-                   envBudgetBytes("IPCP_CKPT_BUDGET_MB"),
-                   BudgetKind::ckpt)
-            .sweep();
     }
 
     bool restored = false;
@@ -179,10 +170,7 @@ writeRunArtifacts(System &sys, const ExperimentConfig &cfg,
 std::string
 checkpointPathFor(const ExperimentConfig &cfg, const std::string &key)
 {
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(fnv1a(key)));
-    return cfg.ckptDir + "/ckpt-" + hex + ".ckpt";
+    return cfg.ckptDir + "/ckpt-" + keyHash(key) + ".ckpt";
 }
 
 ExperimentConfig

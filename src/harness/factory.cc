@@ -6,6 +6,7 @@
 
 #include "common/bitops.hh"
 #include "common/env.hh"
+#include "common/json.hh"
 #include "prefetch/bop.hh"
 #include "prefetch/composite.hh"
 #include "prefetch/dol.hh"
@@ -252,19 +253,6 @@ knobRefs(IpcpComboParams &p)
         {"l2EnableNL", KnobType::Bool, &p.l2.enableNL},
         {"useL2", KnobType::Bool, &p.useL2},
     };
-}
-
-/** Shortest decimal form that parses back to the same bits (the
- *  JsonWriter convention), so format/parse round-trips exactly. */
-std::string
-formatRoundTripDouble(double d)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.15g", d);
-    double back = 0.0;
-    if (!parseDouble(buf, back) || back != d)
-        std::snprintf(buf, sizeof buf, "%.17g", d);
-    return buf;
 }
 
 Status

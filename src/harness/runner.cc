@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +24,9 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+
+/** Retry k of a transiently failed job first waits k times this. */
+constexpr std::chrono::milliseconds kRetryBackoff{10};
 
 double
 secondsSince(Clock::time_point start)
@@ -57,101 +59,6 @@ onTerminateSignal(int sig)
     // process immediately instead of being swallowed.
     std::signal(sig, SIG_DFL);
 }
-
-/** Seconds knobs reject negatives: a malformed or negative value
- *  means the fallback, via the common warn-once env reader. */
-double
-envSeconds(const char *name, double fallback)
-{
-    const double s = envDouble(name, fallback);
-    return s >= 0.0 ? s : fallback;
-}
-
-/**
- * Live watchdog: while a batch is in flight, a monitor thread scans
- * the running jobs and warns (once per job, to stderr) when one
- * exceeds the wall-clock budget. A worker thread cannot be aborted
- * safely mid-simulation, so enforcement is cooperative: the overdue
- * job's result is discarded and the job failed when it completes.
- */
-class WatchdogMonitor
-{
-  public:
-    WatchdogMonitor(double timeout_seconds, std::size_t jobs)
-        : timeout_(timeout_seconds)
-    {
-        if (timeout_ <= 0.0 || jobs == 0)
-            return;
-        monitor_ = std::thread([this] { loop(); });
-    }
-
-    ~WatchdogMonitor()
-    {
-        if (!monitor_.joinable())
-            return;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            done_ = true;
-        }
-        cv_.notify_all();
-        monitor_.join();
-    }
-
-    void
-    beginJob(std::size_t index, const std::string &key)
-    {
-        if (timeout_ <= 0.0)
-            return;
-        std::lock_guard<std::mutex> lock(mutex_);
-        inflight_[index] = Entry{key, Clock::now(), false};
-    }
-
-    void
-    endJob(std::size_t index)
-    {
-        if (timeout_ <= 0.0)
-            return;
-        std::lock_guard<std::mutex> lock(mutex_);
-        inflight_.erase(index);
-    }
-
-  private:
-    struct Entry
-    {
-        std::string key;
-        Clock::time_point start;
-        bool warned = false;
-    };
-
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (!done_) {
-            cv_.wait_for(lock, std::chrono::milliseconds(50));
-            for (auto &[index, entry] : inflight_) {
-                if (entry.warned ||
-                    secondsSince(entry.start) < timeout_)
-                    continue;
-                entry.warned = true;
-                char line[192];
-                std::snprintf(line, sizeof(line),
-                              "[runner] watchdog: job %s over %.2fs "
-                              "budget, still running",
-                              entry.key.c_str(), timeout_);
-                std::lock_guard<std::mutex> plock(progressMutex);
-                std::cerr << line << "\n";
-            }
-        }
-    }
-
-    const double timeout_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    bool done_ = false;
-    std::map<std::size_t, Entry> inflight_;
-    std::thread monitor_;
-};
 
 } // namespace
 
@@ -197,9 +104,8 @@ jobKey(const Job &job)
 
 /**
  * Derive the per-job stats JSON artifact path when cfg.statsDir is
- * set: stats-<fnv1a(key)>.json, mirroring the key-derived checkpoint
- * naming so a job's artifact is found from its key alone. An explicit
- * statsJsonPath on the job wins.
+ * set: stats-<keyHash(key)>.json, named like the key-derived
+ * checkpoint. An explicit statsJsonPath on the job wins.
  */
 ExperimentConfig
 withJobStatsPath(const ExperimentConfig &cfg, const std::string &key)
@@ -207,10 +113,7 @@ withJobStatsPath(const ExperimentConfig &cfg, const std::string &key)
     if (cfg.statsDir.empty() || !cfg.statsJsonPath.empty())
         return cfg;
     ExperimentConfig out = cfg;
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(fnv1a(key)));
-    out.statsJsonPath = cfg.statsDir + "/stats-" + hex + ".json";
+    out.statsJsonPath = cfg.statsDir + "/stats-" + keyHash(key) + ".json";
     return out;
 }
 
@@ -258,9 +161,9 @@ BatchStats::print(std::ostream &os) const
                   wallSeconds, busySeconds, speedupOverSerial(),
                   humanRate(instrsPerSecond()).c_str());
     os << buf << "\n";
-    if (retried > 0 || timedOut > 0 || storeFailures > 0) {
-        os << "[runner] retried=" << retried << " timed-out="
-           << timedOut << " store-failures=" << storeFailures << "\n";
+    if (retried > 0 || storeFailures > 0) {
+        os << "[runner] retried=" << retried << " store-failures="
+           << storeFailures << "\n";
     }
     if (resumed > 0 || warmStarts > 0 || interrupted > 0) {
         os << "[runner] resumed=" << resumed << " warm-starts="
@@ -269,18 +172,14 @@ BatchStats::print(std::ostream &os) const
     for (const JobFailure &f : failures) {
         os << "[runner] FAILED job " << f.index << " " << f.key
            << " after " << f.attempts << " attempt"
-           << (f.attempts == 1 ? "" : "s")
-           << (f.timedOut ? " (timed out)" : "") << ": " << f.error
-           << "\n";
+           << (f.attempts == 1 ? "" : "s") << ": " << f.error << "\n";
     }
 }
 
 Runner::Runner(unsigned threads)
     : threads_(threads > 0 ? threads : defaultThreads()),
       progress_(std::getenv("IPCP_PROGRESS") != nullptr),
-      maxAttempts_(1 + envUnsigned("IPCP_RETRIES", 1)),
-      jobTimeout_(envSeconds("IPCP_JOB_TIMEOUT", 0.0)),
-      backoffMs_(envUnsigned("IPCP_RETRY_BACKOFF_MS", 10))
+      maxAttempts_(1 + envUnsigned("IPCP_RETRIES", 1))
 {
 }
 
@@ -352,9 +251,8 @@ Runner::dispatch(std::size_t count, const Task &task)
 
 /**
  * Run one job body under the containment policy: capture every
- * exception into the job outcome, retry transient failures with
- * linear backoff, and fail (without retry) any attempt that overruns
- * the wall-clock budget.
+ * exception into the job outcome and retry transient failures with
+ * linear backoff.
  */
 template <typename Body, typename JobOut>
 void
@@ -364,7 +262,6 @@ Runner::executeWithPolicy(const std::string &key, const Body &body,
     for (unsigned attempt = 1; attempt <= maxAttempts_; ++attempt) {
         out.attempts = attempt;
         bool transient = false;
-        const auto start = Clock::now();
         try {
             faultPoint(faults::kJobBody, key);
             out.outcome = body();
@@ -381,26 +278,10 @@ Runner::executeWithPolicy(const std::string &key, const Body &body,
             out.ok = false;
             out.error = "unknown exception";
         }
-        const double elapsed = secondsSince(start);
-        if (jobTimeout_ > 0.0 && elapsed >= jobTimeout_) {
-            // Overruns are never retried: a second attempt would
-            // just burn another budget's worth of wall-clock.
-            char msg[128];
-            std::snprintf(msg, sizeof(msg),
-                          "watchdog: attempt took %.2fs, over the "
-                          "%.2fs per-job budget",
-                          elapsed, jobTimeout_);
-            out.ok = false;
-            out.timedOut = true;
-            out.error = msg;
-            return;
-        }
         if (out.ok || !transient)
             return;
-        if (attempt < maxAttempts_ && backoffMs_ > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(backoffMs_ * attempt));
-        }
+        if (attempt < maxAttempts_)
+            std::this_thread::sleep_for(kRetryBackoff * attempt);
     }
 }
 
@@ -422,13 +303,11 @@ Runner::execute(const std::vector<MixJob> &jobs,
     last_.executed = n;
     std::vector<MixJobOutcome> results(n);
     std::atomic<std::size_t> completed{0};
-    WatchdogMonitor watchdog(jobTimeout_, n);
     dispatch(n, [&](std::size_t e) {
         const MixJob &job = jobs[e];
         MixJobOutcome &out = results[e];
         JobTiming &t = last_.perJob[slots[e]];
         const auto start = Clock::now();
-        watchdog.beginJob(slots[e], t.key);
         ExperimentConfig job_cfg = withJobStatsPath(job.cfg, t.key);
         if (job_cfg.warmLabel.empty())
             job_cfg.warmLabel = job.label;
@@ -436,7 +315,6 @@ Runner::execute(const std::vector<MixJob> &jobs,
             t.key, [&] { return runMix(job.specs, job.attach, job_cfg,
                                        t.key); },
             out);
-        watchdog.endJob(slots[e]);
         t.seconds = secondsSince(start);
         if (out.ok) {
             out.resumed = out.outcome.system.resumed;
@@ -484,10 +362,8 @@ Runner::execute(const std::vector<MixJob> &jobs,
         last_.simInstrs += t.instrs;
         if (!out.ok) {
             ++last_.failed;
-            if (out.timedOut)
-                ++last_.timedOut;
-            last_.failures.push_back(JobFailure{
-                slots[e], t.key, out.error, out.attempts, out.timedOut});
+            last_.failures.push_back(
+                JobFailure{slots[e], t.key, out.error, out.attempts});
         } else {
             if (out.attempts > 1)
                 ++last_.retried;
@@ -575,7 +451,7 @@ Runner::run(const std::vector<Job> &jobs, const FetchFn &fetch,
         MixJobOutcome &m = ran[e];
         results[exec[e]] = JobOutcome{
             std::move(m.outcome.system), m.ok, std::move(m.error),
-            m.attempts, m.timedOut, m.resumed, m.ckptCycle};
+            m.attempts, m.resumed, m.ckptCycle};
     }
 
     // Fan results out to deduplicated submissions: a copy of a failed
@@ -583,11 +459,8 @@ Runner::run(const std::vector<Job> &jobs, const FetchFn &fetch,
     // indices, so they are resolved.
     for (const auto &[dst, src] : copies) {
         results[dst] = results[src];
-        if (!results[dst].ok) {
+        if (!results[dst].ok)
             ++last_.failed;
-            if (results[dst].timedOut)
-                ++last_.timedOut;
-        }
     }
     last_.storeFailures = store_failures.load();
     last_.wallSeconds = secondsSince(batch_start);

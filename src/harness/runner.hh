@@ -18,18 +18,14 @@
  * from worker threads and must be thread-safe.
  *
  * Failure containment: a fault in one job — an exception from the
- * job body, an injected fault (see common/faultinject.hh), a
- * watchdog overrun — fails that job only. Every other job completes,
- * is stored in the external cache, and returns its outcome in
- * submission order; the failed job's slot carries the error instead.
- * Transient failures are retried with linear backoff up to the
- * configured attempt budget. Policy knobs (environment or setters):
- *
- *   IPCP_RETRIES          retries for transient faults (default 1)
- *   IPCP_JOB_TIMEOUT      per-job wall-clock budget in seconds;
- *                         overruns fail the job (default 0 = off)
- *   IPCP_RETRY_BACKOFF_MS backoff base; attempt k sleeps k*base
- *                         (default 10)
+ * job body or an injected fault (see common/faultinject.hh) — fails
+ * that job only. Every other job completes, is stored in the external
+ * cache, and returns its outcome in submission order; the failed
+ * job's slot carries the error instead. Transient failures are
+ * retried up to the attempt budget (IPCP_RETRIES retries, default 1,
+ * or setMaxAttempts); retry k first waits k × 10 ms. A hung
+ * simulation is caught by System's retire watchdog, and in a campaign
+ * fleet by the supervisor's stall watchdog, not here.
  */
 
 #ifndef BOUQUET_HARNESS_RUNNER_HH
@@ -108,7 +104,6 @@ struct JobResult
     bool ok = false;
     std::string error;       //!< why the job failed (empty when ok)
     unsigned attempts = 0;   //!< simulation attempts (0 = cache/dedup)
-    bool timedOut = false;   //!< failed by the wall-clock watchdog
     bool resumed = false;    //!< continued from a checkpoint
     Cycle ckptCycle = 0;     //!< cycle of the resumed checkpoint
 };
@@ -123,7 +118,6 @@ struct JobFailure
     std::string key;
     std::string error;
     unsigned attempts = 0;
-    bool timedOut = false;
 };
 
 /** Per-job execution record of a batch. */
@@ -146,7 +140,6 @@ struct BatchStats
     std::size_t deduped = 0;   //!< duplicates of an executed/cached key
     std::size_t failed = 0;    //!< jobs whose final state is not ok
     std::size_t retried = 0;   //!< jobs that needed more than 1 attempt
-    std::size_t timedOut = 0;  //!< jobs failed by the watchdog
     std::size_t storeFailures = 0;  //!< store-hook errors (job still ok)
     std::size_t resumed = 0;   //!< jobs that continued from a checkpoint
     std::size_t warmStarts = 0;  //!< executed jobs that fast-forwarded
@@ -188,13 +181,6 @@ class Runner
     unsigned maxAttempts() const { return maxAttempts_; }
     void setMaxAttempts(unsigned n) { maxAttempts_ = n > 0 ? n : 1; }
 
-    /** Per-job wall-clock budget in seconds (0 disables). */
-    double jobTimeout() const { return jobTimeout_; }
-    void setJobTimeout(double seconds) { jobTimeout_ = seconds; }
-
-    /** Backoff base in ms; retry k waits k*base. */
-    void setRetryBackoffMs(unsigned ms) { backoffMs_ = ms; }
-
     /** External-cache probe: return true and fill the outcome on hit. */
     using FetchFn = std::function<bool(const Job &, Outcome &)>;
     /** External-cache insert; called from worker threads. */
@@ -231,9 +217,9 @@ class Runner
     /**
      * The one execution loop under run() and runMixes(): simulate
      * jobs[e] through runMix as batch slot slots[e], keyed by
-     * lastBatch().perJob[slots[e]].key, with the watchdog, stats
-     * path, progress lines, shutdown handling and failure
-     * accounting. Returns the outcomes in `jobs` order.
+     * lastBatch().perJob[slots[e]].key, with the stats path,
+     * progress lines, shutdown handling and failure accounting.
+     * Returns the outcomes in `jobs` order.
      */
     std::vector<MixJobOutcome> execute(const std::vector<MixJob> &jobs,
                                        const std::vector<std::size_t> &slots,
@@ -249,8 +235,6 @@ class Runner
     unsigned threads_;
     bool progress_;  //!< IPCP_PROGRESS: per-job stderr lines
     unsigned maxAttempts_;
-    double jobTimeout_;
-    unsigned backoffMs_;
     BatchStats last_;
 };
 

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include "common/degrade.hh"
-#include "common/env.hh"
 #include "common/faultinject.hh"
 #include "common/stateio.hh"
 #include "common/statsink.hh"
@@ -80,12 +79,6 @@ removeKeyLockSidecars(const std::string &dir)
     ::closedir(d);
 }
 
-std::size_t
-defaultMemEntries()
-{
-    return static_cast<std::size_t>(envU64("IPCP_WARM_MEM_ENTRIES", 64));
-}
-
 } // namespace
 
 /**
@@ -153,9 +146,8 @@ warmupKey(const std::vector<TraceSpec> &specs,
     return key;
 }
 
-WarmStore::WarmStore(std::string dir, std::size_t mem_entries)
+WarmStore::WarmStore(std::string dir)
     : dir_(std::move(dir)),
-      memCap_(mem_entries > 0 ? mem_entries : defaultMemEntries()),
       budget_(dir_, "warm-", ".ckpt",
               envBudgetBytes("IPCP_WARM_BUDGET_MB"), BudgetKind::warm)
 {
@@ -175,10 +167,7 @@ WarmStore::~WarmStore()
 std::string
 WarmStore::pathFor(const std::string &key) const
 {
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(fnv1a(key)));
-    return dir_ + "/warm-" + hex + ".ckpt";
+    return dir_ + "/warm-" + keyHash(key) + ".ckpt";
 }
 
 void
@@ -186,7 +175,7 @@ WarmStore::remember(const std::string &key, std::uint64_t config_hash,
                     Payload payload)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (mem_.size() >= memCap_ && mem_.find(key) == mem_.end())
+    if (mem_.size() >= kMemEntries && mem_.find(key) == mem_.end())
         return;  // beyond the cap the disk still serves
     mem_[key] = Entry{config_hash, std::move(payload)};
 }
@@ -320,8 +309,6 @@ harnessCacheStats()
                       [] { return gcEvicted(BudgetKind::store); });
         r->addCounter("ipcp.gc.warm.evicted",
                       [] { return gcEvicted(BudgetKind::warm); });
-        r->addCounter("ipcp.gc.ckpt.evicted",
-                      [] { return gcEvicted(BudgetKind::ckpt); });
         return r;
     }();
     return *reg;

@@ -85,14 +85,16 @@ class WarmStore
      *  or sweep. */
     static constexpr const char *kLockFile = "store.lock";
 
+    /** Payloads the in-process cache holds; beyond it the disk
+     *  still serves. */
+    static constexpr std::size_t kMemEntries = 64;
+
     /**
-     * `dir` is created on first publish. `mem_entries` caps the
-     * in-process payload cache (beyond it the disk still serves);
-     * 0 reads IPCP_WARM_MEM_ENTRIES, default 64. When
-     * IPCP_WARM_BUDGET_MB is set the directory is swept (LRU files
-     * evicted down to the budget) here and before every publish.
+     * `dir` is created on first publish. When IPCP_WARM_BUDGET_MB is
+     * set the directory is swept (LRU files evicted down to the
+     * budget) here and before every publish.
      */
-    explicit WarmStore(std::string dir, std::size_t mem_entries = 0);
+    explicit WarmStore(std::string dir);
     ~WarmStore();
 
     WarmStore(const WarmStore &) = delete;
@@ -143,7 +145,6 @@ class WarmStore
                   Payload payload);
 
     std::string dir_;
-    std::size_t memCap_;
     DiskBudget budget_;
     std::mutex mutex_;  //!< guards mem_ and writing_
     std::map<std::string, Entry> mem_;
@@ -175,7 +176,7 @@ class StatRegistry;
  *                                           publishes downgraded to
  *                                           pass-through (disk full
  *                                           or failing, §5i)
- *   ipcp.gc.{store,warm,ckpt}.evicted       records/files evicted
+ *   ipcp.gc.{store,warm}.evicted            records/files evicted
  *                                           under the disk budgets
  *
  * Deliberately separate from System's per-run registry: these count

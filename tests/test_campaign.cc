@@ -443,6 +443,37 @@ TEST_F(CampaignTest, ScanReapsOnlyAgedPublishTemps)
     EXPECT_TRUE(std::filesystem::exists(fresh));
 }
 
+TEST_F(CampaignTest, WorkerStartReapsOnlyAgedCheckpointTemps)
+{
+    // A worker SIGKILLed during a checkpoint save leaves its hidden
+    // publish temp in ckpts/. A starting worker removes it once it is
+    // older than 2xTTL, and keeps a temp a live save may still rename
+    // and every checkpoint a rerun resumes from.
+    EnvGuard ttl("IPCP_LEASE_TTL", "2");
+    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
+    TempDir dir;
+    const CampaignPaths paths(dir.file("camp"));
+    ASSERT_TRUE(initCampaignDirs(paths).ok());
+    CampaignSpec spec = tinySpec(false);
+    spec.jobs.resize(1);
+    ASSERT_TRUE(writeManifest(paths, spec).ok());
+    const std::string aged =
+        paths.ckptDir() + "/.ckpt-00000000deadbeef.ckpt.tmp.4242";
+    const std::string fresh =
+        paths.ckptDir() + "/.ckpt-00000000feedface.ckpt.tmp.4244";
+    const std::string ckpt =
+        paths.ckptDir() + "/ckpt-00000000deadbeef.ckpt";
+    for (const std::string &path : {aged, fresh, ckpt})
+        std::ofstream(path) << "partial";
+    backdate(aged, 5.0);
+    backdate(ckpt, 5.0);
+
+    ASSERT_EQ(runWorker(paths.root), 0);
+    EXPECT_FALSE(std::filesystem::exists(aged));
+    EXPECT_TRUE(std::filesystem::exists(fresh));
+    EXPECT_TRUE(std::filesystem::exists(ckpt));
+}
+
 TEST_F(CampaignTest, FutureDatedLeaseIsClampedNotTreatedAsMissing)
 {
     // Clock skew on a shared filesystem can stamp a lease with a

@@ -636,7 +636,6 @@ TEST_F(CheckpointTest, RunnerRetryResumesFromCheckpoint)
 
     Runner runner(1);
     runner.setMaxAttempts(2);
-    runner.setRetryBackoffMs(0);
     const std::vector<Job> jobs = {
         Job{testTrace(), "ipcp", attach, cfg}};
     const std::vector<JobOutcome> outs = runner.run(jobs);
@@ -651,6 +650,61 @@ TEST_F(CheckpointTest, RunnerRetryResumesFromCheckpoint)
     EXPECT_EQ(runner.lastBatch().retried, 1u);
 
     // The derived checkpoint is deleted once the job succeeds.
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path));
+}
+
+TEST_F(CheckpointTest, FailingAttemptsLeaveOneDerivedCheckpoint)
+{
+    const AttachFn attach = comboAttach("ipcp");
+    const ExperimentConfig plain = tinyConfig();
+
+    // Count the run's L1D fills (the clause never fires), then fail
+    // three attempts in a row, each a quarter of the run past the
+    // previous failure, so every attempt resumes and saves again.
+    ASSERT_TRUE(FaultRegistry::instance()
+                    .configure("cache.fill~L1D@999999999")
+                    .ok());
+    const Outcome golden = runSingleCore(testTrace(), attach, plain);
+    const std::uint64_t quarter =
+        FaultRegistry::instance().hitCount("cache.fill") / 4;
+    ASSERT_GT(quarter, 1u);
+
+    TempDir dir;
+    ExperimentConfig cfg = plain;
+    cfg.ckptDir = dir.path;
+    cfg.ckptEvery = 500;
+    const std::string spec =
+        "cache.fill~L1D@" + std::to_string(quarter) +
+        ",cache.fill~L1D@" + std::to_string(2 * quarter) +
+        ",cache.fill~L1D@" + std::to_string(3 * quarter);
+    ASSERT_TRUE(FaultRegistry::instance().configure(spec).ok());
+
+    const std::vector<Job> jobs = {
+        Job{testTrace(), "ipcp", attach, cfg}};
+    Runner runner(1);
+    runner.setMaxAttempts(3);
+    const std::vector<JobOutcome> failed = runner.run(jobs);
+    ASSERT_FALSE(failed[0].ok);
+    EXPECT_EQ(failed[0].attempts, 3u);
+    EXPECT_EQ(FaultRegistry::instance().firedCount("cache.fill"), 3u);
+
+    // One key, one file: the three attempts share the job's derived
+    // checkpoint and leave no temp beside it.
+    std::vector<std::filesystem::path> left;
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path))
+        left.push_back(entry.path().filename());
+    ASSERT_EQ(left.size(), 1u);
+    EXPECT_EQ(left[0],
+              std::filesystem::path(checkpointPathFor(cfg, jobKey(jobs[0])))
+                  .filename());
+
+    // A clean rerun resumes from it, matches the uninterrupted run,
+    // and removes it.
+    FaultRegistry::instance().clear();
+    const std::vector<JobOutcome> rerun = runner.run(jobs);
+    ASSERT_TRUE(rerun[0].ok) << rerun[0].error;
+    EXPECT_TRUE(rerun[0].resumed);
+    EXPECT_TRUE(sameStats(golden, rerun[0].outcome));
     EXPECT_TRUE(std::filesystem::is_empty(dir.path));
 }
 

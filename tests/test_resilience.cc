@@ -256,7 +256,7 @@ TEST_F(ResilienceTest, OutcomeStoreNospaceDegradesToPassThrough)
 TEST_F(ResilienceTest, WarmStoreNospaceCountsDegradedPublish)
 {
     TempDir dir;
-    WarmStore store(dir.path, 4);
+    WarmStore store(dir.path);
     ASSERT_TRUE(FaultRegistry::instance()
                     .configure("warm.nospace@1+")
                     .ok());
@@ -271,7 +271,7 @@ TEST_F(ResilienceTest, WarmStoreNospaceCountsDegradedPublish)
     // In-process sharing still works…
     EXPECT_NE(store.fetch("key", 42), nullptr);
     // …but nothing reached the disk for other processes.
-    WarmStore fresh(dir.path, 4);
+    WarmStore fresh(dir.path);
     EXPECT_EQ(fresh.fetch("key", 42), nullptr);
 }
 
@@ -281,7 +281,7 @@ TEST_F(ResilienceTest, WarmStoreBudgetSweepsBeforePublish)
     EnvGuard mb("IPCP_WARM_BUDGET_MB", "0.0005");  // ~512 bytes
     const std::uint64_t evicted0 = gcEvicted(BudgetKind::warm);
 
-    WarmStore store(dir.path, 4);
+    WarmStore store(dir.path);
     ASSERT_TRUE(store
                     .publish("a", 42,
                              std::vector<std::uint8_t>(300, 1))
@@ -297,7 +297,7 @@ TEST_F(ResilienceTest, WarmStoreBudgetSweepsBeforePublish)
     EXPECT_FALSE(std::filesystem::exists(store.pathFor("a")));
 
     // The evicted key heals to an ordinary miss for a fresh store.
-    WarmStore fresh(dir.path, 4);
+    WarmStore fresh(dir.path);
     EXPECT_EQ(fresh.fetch("a", 42), nullptr);
     EXPECT_NE(fresh.fetch("b", 42), nullptr);
 }
@@ -442,7 +442,7 @@ TEST_F(ResilienceTest, FuzzedStoreFilesHealOrRejectCleanly)
         EXPECT_TRUE(reread.get("k", out));
 
         // WarmStore: garbage under a warm path heals to a miss.
-        WarmStore warm(dir.path, 2);
+        WarmStore warm(dir.path);
         writeBytes(warm.pathFor("fzkey"), randomBytes(len));
         EXPECT_EQ(warm.fetch("fzkey", 42), nullptr);
 

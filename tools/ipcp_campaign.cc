@@ -67,11 +67,11 @@ usage()
         "  status DIR           print one counts line and exit\n"
         "  aggregate DIR        rewrite report.json + summary.json\n"
         "env: IPCP_LEASE_TTL, IPCP_QUARANTINE_AFTER, IPCP_SIM_INSTRS,\n"
-        "     IPCP_WARMUP_INSTRS, IPCP_CKPT_EVERY, IPCP_JOB_TIMEOUT,\n"
-        "     IPCP_STALL_TIMEOUT, IPCP_WARM_BUDGET_MB,\n"
-        "     IPCP_CKPT_BUDGET_MB\n"
+        "     IPCP_WARMUP_INSTRS, IPCP_CKPT_EVERY, IPCP_RETRIES,\n"
+        "     IPCP_STALL_TIMEOUT, IPCP_WARM_BUDGET_MB\n"
         "     (IPCP_STORE_BUDGET_MB does not apply: each job's done\n"
-        "     file carries its outcome)\n";
+        "     file carries its outcome; README.md's knob table lists\n"
+        "     every knob)\n";
 }
 
 /** ipcp_sim lives next to ipcp_campaign unless told otherwise. */

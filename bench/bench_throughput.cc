@@ -28,6 +28,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hh"
+#include "common/env.hh"
 #include "common/perfcount.hh"
 
 namespace
@@ -132,10 +133,7 @@ runSim(benchmark::State &state, const std::string &combo_name,
 double
 baselineKips()
 {
-    const char *v = std::getenv("IPCP_BASELINE_KIPS");
-    if (v == nullptr || *v == '\0')
-        return kSeedKips;
-    return std::strtod(v, nullptr);
+    return envDouble("IPCP_BASELINE_KIPS", kSeedKips);
 }
 
 void

@@ -149,9 +149,9 @@ campaignConfig(const CampaignPaths &paths, const CampaignSpec &spec)
         cfg.ckptEvery = 250'000;
     // Campaigns rate-limit crash checkpoints by wall clock unless the
     // operator pinned a cadence: at the forced 250k-cycle interval a
-    // short job would otherwise spend most of its time in fsync.
-    if (std::getenv("IPCP_CKPT_MIN_MS") == nullptr)
-        cfg.ckptMinMs = 500;
+    // short job would otherwise spend most of its time in fsync. An
+    // empty or malformed value keeps this default, not fromEnv's 0.
+    cfg.ckptMinMs = envU64("IPCP_CKPT_MIN_MS", 500);
     // Warm-state sharing defaults on, inside the campaign directory,
     // so every worker of every fleet run shares one prefix cache.
     // IPCP_WARM_DIR (via fromEnv) points it elsewhere; IPCP_WARM=0

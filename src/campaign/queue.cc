@@ -354,22 +354,35 @@ WorkQueue::attemptCount(const std::string &hash) const
     return count;
 }
 
-Status
-WorkQueue::publishDone(const std::string &hash, const std::string &key,
-                       const std::string &nonce,
-                       const Outcome &outcome) const
+std::vector<std::uint8_t>
+WorkQueue::doneRecord(const std::string &key, const Outcome &outcome)
 {
-    if (!holds(hash, nonce))
-        return makeError(Errc::lock_failed,
-                         "lease " + hash +
-                             " lost before publish (reclaimed)");
     StateIO io = StateIO::writer();
     std::string stored_key = key;
     Outcome stored = outcome;
     io.io(stored_key);
     io.io(stored);
-    if (Status s = publishContainer(donePath(hash), fnv1a(key),
-                                    io.takeBuffer());
+    return io.takeBuffer();
+}
+
+Status
+WorkQueue::publishDone(const std::string &hash, const std::string &key,
+                       const std::string &nonce,
+                       const Outcome &outcome) const
+{
+    return publishDone(hash, key, nonce, doneRecord(key, outcome));
+}
+
+Status
+WorkQueue::publishDone(const std::string &hash, const std::string &key,
+                       const std::string &nonce,
+                       const std::vector<std::uint8_t> &record) const
+{
+    if (!holds(hash, nonce))
+        return makeError(Errc::lock_failed,
+                         "lease " + hash +
+                             " lost before publish (reclaimed)");
+    if (Status s = publishContainer(donePath(hash), fnv1a(key), record);
         !s.ok())
         return s;
     // Done is in place before the lease goes (see tryClaim).

@@ -11,6 +11,7 @@ namespace
 {
 
 std::atomic<std::uint64_t> counts[kDegradeKinds];
+thread_local std::uint64_t threadCounts[kDegradeKinds];
 std::atomic<bool> warned[kDegradeKinds];
 std::atomic<std::uint64_t> epoch{0};
 
@@ -33,6 +34,7 @@ noteDegraded(DegradeKind kind, const Error &err)
 {
     const auto k = static_cast<unsigned>(kind);
     counts[k].fetch_add(1, std::memory_order_relaxed);
+    ++threadCounts[k];
     if (!warned[k].exchange(true, std::memory_order_relaxed)) {
         std::fprintf(stderr,
                      "warning: %s publish degraded to pass-through "
@@ -48,6 +50,12 @@ degradedCount(DegradeKind kind)
 {
     return counts[static_cast<unsigned>(kind)].load(
         std::memory_order_relaxed);
+}
+
+std::uint64_t
+degradedCountOnThread(DegradeKind kind)
+{
+    return threadCounts[static_cast<unsigned>(kind)];
 }
 
 std::uint64_t

@@ -57,6 +57,13 @@ void noteDegraded(DegradeKind kind, const Error &err);
 /** Degraded publishes of `kind` so far in this process. */
 std::uint64_t degradedCount(DegradeKind kind);
 
+/**
+ * Degraded publishes of `kind` made on the calling thread: the campaign
+ * worker charges each job the writes made for it on its own thread
+ * and on the publisher thread.
+ */
+std::uint64_t degradedCountOnThread(DegradeKind kind);
+
 /** Degraded publishes across all kinds. */
 std::uint64_t degradedTotal();
 

@@ -18,6 +18,7 @@ namespace
 {
 
 std::atomic<std::uint64_t> evicted[2];
+thread_local std::uint64_t threadEvicted;
 
 struct Candidate
 {
@@ -121,12 +122,9 @@ gcEvicted(BudgetKind kind)
 }
 
 std::uint64_t
-gcEvictedTotal()
+gcEvictedOnThread()
 {
-    std::uint64_t total = 0;
-    for (const auto &e : evicted)
-        total += e.load(std::memory_order_relaxed);
-    return total;
+    return threadEvicted;
 }
 
 void
@@ -134,6 +132,7 @@ noteGcEvicted(BudgetKind kind, std::uint64_t n)
 {
     evicted[static_cast<unsigned>(kind)].fetch_add(
         n, std::memory_order_relaxed);
+    threadEvicted += n;
 }
 
 } // namespace bouquet

@@ -86,8 +86,8 @@ std::uint64_t envBudgetBytes(const char *env_name);
 /** Files (or records) evicted under `kind`'s budget, process-wide. */
 std::uint64_t gcEvicted(BudgetKind kind);
 
-/** Evictions across all budget kinds. */
-std::uint64_t gcEvictedTotal();
+/** Evictions across all budget kinds made on the calling thread. */
+std::uint64_t gcEvictedOnThread();
 
 /** Credit `n` evictions to `kind` (DiskBudget and the OutcomeStore's
  *  record-level GC both report through this). */

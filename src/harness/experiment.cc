@@ -7,6 +7,7 @@
 
 #include "common/degrade.hh"
 #include "common/env.hh"
+#include "common/publisher.hh"
 #include "common/rng.hh"
 #include "common/stateio.hh"
 #include "common/stats.hh"
@@ -104,18 +105,33 @@ prepareSystem(const BuildFn &build, const ExperimentConfig &cfg,
             }
         }
         if (!p.sys->warmStart()) {
-            p.sys->setWarmupHook([&store, warm_key](System &s) {
+            p.sys->setWarmupHook([&store, warm_key,
+                                  publisher = cfg.publisher](System &s) {
                 // Publish failure is degraded, not fatal: the store
                 // warns once and counts it (§5i), and in-process
                 // sharing still works, so its Status is dropped here.
                 // A capture failure never reaches the store, so count
                 // it here.
                 Result<std::vector<std::uint8_t>> r = s.captureState();
-                if (r.ok())
-                    (void)store.publish(warm_key, s.configHash(),
-                                        std::move(r.value()));
-                else
+                if (!r.ok()) {
                     noteDegraded(DegradeKind::warm, r.error());
+                    return;
+                }
+                const std::uint64_t hash = s.configHash();
+                if (publisher == nullptr) {
+                    (void)store.publish(warm_key, hash,
+                                        std::move(r.value()));
+                    return;
+                }
+                // Fetches in this process hit at once; the file lands
+                // on the publisher thread.
+                auto payload =
+                    std::make_shared<const std::vector<std::uint8_t>>(
+                        std::move(r.value()));
+                store.remember(warm_key, hash, payload);
+                publisher->post([&store, warm_key, hash, payload] {
+                    (void)store.publish(warm_key, hash, payload);
+                });
             });
         }
     }
@@ -148,10 +164,15 @@ writeRunArtifacts(System &sys, const ExperimentConfig &cfg,
                   const std::string &job_key)
 {
     if (!cfg.statsJsonPath.empty()) {
-        const Status st =
-            writeSystemStatsJson(sys, cfg.statsJsonPath, job_key);
-        if (!st.ok())
-            noteDegraded(DegradeKind::stats, st.error());
+        auto land = [path = cfg.statsJsonPath,
+                     json = formatSystemStatsJson(sys, job_key)] {
+            if (Status st = publishFile(path, json); !st.ok())
+                noteDegraded(DegradeKind::stats, st.error());
+        };
+        if (cfg.publisher != nullptr)
+            cfg.publisher->post(std::move(land));
+        else
+            land();
     }
     if (!cfg.traceEventsPath.empty()) {
         const Status st = writeTraceEvents(sys, cfg.traceEventsPath);

@@ -27,6 +27,8 @@
 namespace bouquet
 {
 
+class Publisher;
+
 /** Experiment-wide settings. */
 struct ExperimentConfig
 {
@@ -57,10 +59,11 @@ struct ExperimentConfig
     /**
      * Minimum wall-clock milliseconds between periodic checkpoint
      * saves (0 = save at every ckptEvery boundary). Campaigns default
-     * this to 500 so a fast job is not dominated by fsync traffic;
-     * crash-recovery tests that need eager cycle-cadence saves leave
-     * it at 0.
-     *   IPCP_CKPT_MIN_MS  wall-clock save rate limit (default 0)
+     * this to 500 (campaignConfig) so a fast job is not dominated by
+     * fsync traffic; crash-recovery tests that need eager
+     * cycle-cadence saves leave it at 0.
+     *   IPCP_CKPT_MIN_MS  wall-clock save rate limit (default 0;
+     *                     500 in campaigns, also when malformed)
      */
     std::uint64_t ckptMinMs = 0;
 
@@ -98,6 +101,15 @@ struct ExperimentConfig
     std::string statsDir;
     std::string traceEventsPath;
     std::size_t traceCapacity = 1 << 16;
+
+    /**
+     * Where a run's warm-state file and stats JSON are written. Null
+     * (the default) writes both inline, so they are on disk when
+     * runMix returns. The campaign worker points this at its
+     * Publisher: the run captures and formats them on its own thread
+     * and posts the file writes, which land while the next job runs.
+     */
+    Publisher *publisher = nullptr;
 
     /** Read IPCP_* environment overrides into a config. */
     static ExperimentConfig fromEnv();

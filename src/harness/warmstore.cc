@@ -229,8 +229,15 @@ Status
 WarmStore::publish(const std::string &key, std::uint64_t config_hash,
                    std::vector<std::uint8_t> payload)
 {
-    auto shared = std::make_shared<const std::vector<std::uint8_t>>(
-        std::move(payload));
+    return publish(key, config_hash,
+                   std::make_shared<const std::vector<std::uint8_t>>(
+                       std::move(payload)));
+}
+
+Status
+WarmStore::publish(const std::string &key, std::uint64_t config_hash,
+                   Payload shared)
+{
     remember(key, config_hash, shared);
     publishes_.fetch_add(1);
 

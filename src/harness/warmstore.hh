@@ -121,6 +121,19 @@ class WarmStore
     Status publish(const std::string &key, std::uint64_t config_hash,
                    std::vector<std::uint8_t> payload);
 
+    /** publish() of a payload already shared (see remember()). */
+    Status publish(const std::string &key, std::uint64_t config_hash,
+                   Payload payload);
+
+    /**
+     * The in-process half of publish(): later fetches in this process
+     * hit `payload` whether or not its file has landed yet. The
+     * campaign worker calls this at the end of warmup and leaves the
+     * file write to its publisher thread.
+     */
+    void remember(const std::string &key, std::uint64_t config_hash,
+                  Payload payload);
+
     /** The container file fetch/publish use for `key`. */
     std::string pathFor(const std::string &key) const;
 
@@ -140,9 +153,6 @@ class WarmStore
     };
 
     class Lock;
-
-    void remember(const std::string &key, std::uint64_t config_hash,
-                  Payload payload);
 
     std::string dir_;
     DiskBudget budget_;

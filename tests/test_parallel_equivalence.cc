@@ -78,7 +78,7 @@ simulate(unsigned cores, bool tick_every_cycle)
         ::testing::TempDir() + "/par_eq_stats_" +
         std::to_string(cores) + "_" + (tick_every_cycle ? "ns" : "sk") +
         ".json";
-    const Status st = writeSystemStatsJson(*sys, path, "par-eq");
+    const Status st = publishFile(path, formatSystemStatsJson(*sys, "par-eq"));
     EXPECT_TRUE(st.ok());
     std::ifstream in(path, std::ios::binary);
     std::ostringstream body;

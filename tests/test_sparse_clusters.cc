@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stateio.hh"
 #include "core/system.hh"
 #include "harness/experiment.hh"
 #include "harness/factory.hh"
@@ -91,7 +92,7 @@ finish(System &sys, std::uint64_t warmup, std::uint64_t sim)
         ::testing::TempDir() + "/sparse_stats_" +
         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
         ".json";
-    EXPECT_TRUE(writeSystemStatsJson(sys, path, "sparse").ok());
+    EXPECT_TRUE(publishFile(path, formatSystemStatsJson(sys, "sparse")).ok());
     std::ifstream in(path, std::ios::binary);
     std::ostringstream body;
     body << in.rdbuf();

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stateio.hh"
 #include "core/system.hh"
 #include "harness/factory.hh"
 #include "harness/statsjson.hh"
@@ -291,7 +292,8 @@ twoCoreStatsJson(std::vector<GeneratorPtr> workloads)
     applyCombo(sys, "ipcp");
     sys.run(2'000, 10'000);
     TempFile out;
-    EXPECT_TRUE(writeSystemStatsJson(sys, out.path, "shared").ok());
+    EXPECT_TRUE(
+        publishFile(out.path, formatSystemStatsJson(sys, "shared")).ok());
     std::ifstream in(out.path, std::ios::binary);
     std::ostringstream body;
     body << in.rdbuf();

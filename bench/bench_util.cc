@@ -119,8 +119,7 @@ tableIIIComboSet()
 ExperimentConfig
 defaultConfig()
 {
-    ExperimentConfig cfg = ExperimentConfig::fromEnv();
-    return cfg;
+    return ExperimentConfig::fromEnv();
 }
 
 std::vector<double>

@@ -17,7 +17,6 @@
  *                      the working directory; set empty to disable)
  *   IPCP_REPORT_CSV    when set, every speedupTable() call also appends
  *                      its raw outcomes to this CSV file for plotting
- *   IPCP_RETRIES       retries for transient per-job faults (default 1)
  *   IPCP_STRICT        when set, any failed job makes exitCode()
  *                      nonzero (default: only an all-failed batch)
  *   IPCP_FAULTS        fault-injection spec (common/faultinject.hh)

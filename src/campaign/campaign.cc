@@ -142,9 +142,6 @@ campaignConfig(const CampaignPaths &paths, const CampaignSpec &spec)
     cfg.warmupInstrs = spec.warmupInstrs;
     cfg.statsDir = paths.statsDir();
     cfg.ckptDir = paths.ckptDir();
-    cfg.ckptPath.clear();
-    cfg.resumePath.clear();
-    cfg.statsJsonPath.clear();
     if (cfg.ckptEvery == 0)
         cfg.ckptEvery = 250'000;
     // Campaigns rate-limit crash checkpoints by wall clock unless the

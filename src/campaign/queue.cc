@@ -111,10 +111,6 @@ QueueConfig::fromEnv(std::string dir)
     const double ttl = envDouble("IPCP_LEASE_TTL", cfg.leaseTtl);
     if (ttl > 0.0)
         cfg.leaseTtl = ttl;
-    const unsigned after =
-        envUnsigned("IPCP_QUARANTINE_AFTER", cfg.quarantineAfter);
-    if (after > 0)
-        cfg.quarantineAfter = after;
     return cfg;
 }
 

@@ -70,14 +70,14 @@
 namespace bouquet::campaign
 {
 
-/** Queue tuning, from the environment. */
+/** Queue tuning; fromEnv() reads the lease TTL from the environment. */
 struct QueueConfig
 {
     std::string dir;
     double leaseTtl = 30.0;        //!< seconds before a lease orphans
     unsigned quarantineAfter = 3;  //!< started attempts before parking
 
-    /** IPCP_LEASE_TTL / IPCP_QUARANTINE_AFTER overrides. */
+    /** IPCP_LEASE_TTL override. */
     static QueueConfig fromEnv(std::string dir);
 };
 

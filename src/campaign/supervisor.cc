@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "campaign/aggregate.hh"
 #include "campaign/campaign.hh"
 #include "campaign/queue.hh"
-#include "common/env.hh"
 #include "harness/runner.hh"
 
 namespace bouquet::campaign
@@ -53,13 +51,6 @@ monotonicNow()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-double
-envStallTimeout()
-{
-    const double v = envDouble("IPCP_STALL_TIMEOUT", 0.0);
-    return v > 0.0 ? v : 0.0;
 }
 
 } // namespace
@@ -138,8 +129,7 @@ runSupervisor(const std::string &root, const SupervisorOptions &opts)
     bool drain_signalled = false;
     QueueCounts last_printed;
     bool printed_once = false;
-    StallTracker stall(opts.stallTimeout > 0.0 ? opts.stallTimeout
-                                               : envStallTimeout());
+    StallTracker stall(opts.stallTimeout);
 
     while (true) {
         const QueueCounts counts = queue.scan(hashes);

@@ -6,9 +6,9 @@
  * within a bounded budget, forwards SIGINT/SIGTERM as a graceful
  * drain, and aggregates the final report when every job is terminal.
  *
- * The stall watchdog (IPCP_STALL_TIMEOUT / --stall-timeout) adds a
- * second liveness axis: a worker's lease heartbeat proves the process
- * is alive, its pulse-<owner> beacon proves the simulation is
+ * The stall watchdog (stallTimeout, ipcp_campaign --stall-timeout)
+ * adds a second liveness axis: a worker's lease heartbeat proves the
+ * process is alive, its pulse-<owner> beacon proves the simulation is
  * advancing. A worker whose pulse epoch stays frozen on one job for
  * longer than the timeout is wedged, not slow — the supervisor
  * SIGKILLs it, quarantines the stuck job (so a respawn does not walk
@@ -37,7 +37,7 @@ struct SupervisorOptions
     bool progress = true;     //!< stream counts to stderr
     bool strict = false;      //!< quarantined jobs fail the exit code
     /** Seconds a worker's progress epoch may stay frozen on one job
-     *  before it is killed; 0 reads IPCP_STALL_TIMEOUT (default off). */
+     *  before it is killed; 0 = off. */
     double stallTimeout = 0.0;
 };
 

@@ -3,8 +3,8 @@
  * The stateless campaign worker: `ipcp_sim --worker <dir>` calls
  * runWorker(), which loops claiming jobs from the campaign's work
  * queue, simulating them through the harness Runner (periodic
- * checkpoints on, retries per IPCP_RETRIES) and publishing each
- * outcome as the job's done file — until every job is terminal or a
+ * checkpoints on, one retry) and publishing each outcome as the
+ * job's done file — until every job is terminal or a
  * SIGINT/SIGTERM drain is requested. A reclaimed job auto-resumes the
  * dead owner's key-derived checkpoint through the ordinary
  * prepare-system path. On start a worker removes stale publish temps

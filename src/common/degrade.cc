@@ -58,15 +58,6 @@ degradedCountOnThread(DegradeKind kind)
     return threadCounts[static_cast<unsigned>(kind)];
 }
 
-std::uint64_t
-degradedTotal()
-{
-    std::uint64_t total = 0;
-    for (unsigned k = 0; k < kDegradeKinds; ++k)
-        total += counts[k].load(std::memory_order_relaxed);
-    return total;
-}
-
 bool
 isNoSpaceErrno(int saved_errno)
 {

@@ -64,9 +64,6 @@ std::uint64_t degradedCount(DegradeKind kind);
  */
 std::uint64_t degradedCountOnThread(DegradeKind kind);
 
-/** Degraded publishes across all kinds. */
-std::uint64_t degradedTotal();
-
 /**
  * Map a captured errno from a failed write to the error vocabulary:
  * ENOSPC/EDQUOT become Errc::no_space (the degradable "disk is

@@ -20,6 +20,9 @@ namespace bouquet
 namespace
 {
 
+/** Events the trace ring holds with tracing on; oldest overwritten. */
+constexpr std::size_t kTraceCapacity = 1 << 16;
+
 bool
 fileExists(const std::string &path)
 {
@@ -140,7 +143,7 @@ prepareSystem(const BuildFn &build, const ExperimentConfig &cfg,
         p.sys->setCheckpointEvery(cfg.ckptEvery, p.savePath,
                                   cfg.ckptMinMs);
     if (!cfg.traceEventsPath.empty())
-        p.sys->enableTracing(cfg.traceCapacity);
+        p.sys->enableTracing(kTraceCapacity);
     return p;
 }
 
@@ -222,11 +225,6 @@ ExperimentConfig::fromEnv()
         cfg.statsDir = dir;
         ::mkdir(dir, 0777);
     }
-    if (const char *path = std::getenv("IPCP_TRACE_EVENTS");
-        path != nullptr && *path != '\0')
-        cfg.traceEventsPath = path;
-    cfg.traceCapacity = static_cast<std::size_t>(
-        envU64("IPCP_TRACE_CAP", cfg.traceCapacity));
     return cfg;
 }
 

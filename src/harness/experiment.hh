@@ -89,18 +89,16 @@ struct ExperimentConfig
      * the run write its full stat tree there as JSON when it finishes;
      * `statsDir` makes the parallel runner derive one such file per
      * job (next to its cached results). `traceEventsPath` switches on
-     * event tracing and writes the ring there in Chrome trace_event
-     * format; `traceCapacity` bounds the in-memory ring (oldest events
-     * are overwritten). Export failures warn, they never fail a run;
-     * `statsDir` must exist, and fromEnv() makes IPCP_STATS_DIR.
+     * event tracing into a ring of 65536 events (oldest overwritten)
+     * and writes it there in Chrome trace_event format; only
+     * `ipcp_sim --trace-events` sets it, one path per job. Export
+     * failures warn, they never fail a run; `statsDir` must exist, and
+     * fromEnv() makes IPCP_STATS_DIR.
      *   IPCP_STATS_DIR     runner per-job stats JSON directory
-     *   IPCP_TRACE_EVENTS  trace output path (enables tracing)
-     *   IPCP_TRACE_CAP     trace ring capacity (default 65536)
      */
     std::string statsJsonPath;
     std::string statsDir;
     std::string traceEventsPath;
-    std::size_t traceCapacity = 1 << 16;
 
     /**
      * Where a run's warm-state file and stats JSON are written. Null

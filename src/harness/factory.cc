@@ -23,6 +23,10 @@
 namespace bouquet
 {
 
+namespace
+{
+
+/** makePrefetcher's body: Errc::unknown_name for a bad name. */
 Result<std::unique_ptr<Prefetcher>>
 tryMakePrefetcher(const std::string &name, CacheLevel level)
 {
@@ -98,19 +102,6 @@ tryMakePrefetcher(const std::string &name, CacheLevel level)
     return makeError(Errc::unknown_name,
                      "unknown prefetcher: " + name);
 }
-
-std::unique_ptr<Prefetcher>
-makePrefetcher(const std::string &name, CacheLevel level)
-{
-    Result<std::unique_ptr<Prefetcher>> pf =
-        tryMakePrefetcher(name, level);
-    if (!pf.ok())
-        throw std::invalid_argument(pf.error().message);
-    return pf.take();
-}
-
-namespace
-{
 
 /**
  * Wrapper for Fig. 1's "learn at L1 but prefetch till the L2" mode: the
@@ -375,7 +366,73 @@ validateIpcpParams(const IpcpComboParams &p, const std::string &combo)
     return Status();
 }
 
+/**
+ * applyCombo's body: Errc::unknown_name for an unknown combo or
+ * prefetcher name, parseIpcpCombo's errors for a bad `ipcp:` combo.
+ */
+Status
+tryApplyCombo(System &sys, const std::string &combo)
+{
+    if (combo.rfind("ipcp:", 0) == 0) {
+        Result<IpcpComboParams> parsed = parseIpcpCombo(combo);
+        if (!parsed.ok())
+            return parsed.status();
+        const IpcpComboParams p = parsed.take();
+        applyIpcp(sys, p.l1, p.l2, p.useL2);
+        return Status();
+    }
+    if (combo == "none")
+        return setAll(sys, "none", "none", "none");
+    if (combo == "ipcp")
+        return setAll(sys, "ipcp", "ipcp", "none");
+    if (combo == "ipcp-l1")
+        return setAll(sys, "ipcp", "none", "none");
+    if (combo == "spp-ppf-dspatch")
+        return setAll(sys, "throttled-nl", "spp-ppf-dspatch",
+                      "nl-restrictive");
+    if (combo == "mlop")
+        return setAll(sys, "mlop", "nl-restrictive", "nl-restrictive");
+    if (combo == "bingo")
+        return setAll(sys, "bingo", "nl-restrictive",
+                      "nl-restrictive");
+    if (combo == "bingo-119k")
+        return setAll(sys, "bingo-119k", "nl-restrictive",
+                      "nl-restrictive");
+    if (combo == "tskid")
+        return setAll(sys, "tskid", "spp", "none");
+    if (combo.rfind("l1:", 0) == 0)
+        return setAll(sys, combo.substr(3), "none", "none");
+    if (combo.rfind("l2:", 0) == 0)
+        return setAll(sys, "none", combo.substr(3), "none");
+    if (combo.rfind("l1fill2:", 0) == 0) {
+        // Fig. 1: train at the L1 but fill only till the L2.
+        const std::string inner = combo.substr(8);
+        for (unsigned c = 0; c < sys.numCores(); ++c) {
+            auto pf = tryMakePrefetcher(inner, CacheLevel::L1D);
+            if (!pf.ok())
+                return pf.status();
+            sys.l1d(c).setPrefetcher(
+                std::make_unique<FillAtL2>(pf.take()));
+            sys.l2(c).setPrefetcher(
+                std::make_unique<NoPrefetcher>());
+        }
+        sys.llc().setPrefetcher(std::make_unique<NoPrefetcher>());
+        return Status();
+    }
+    return makeError(Errc::unknown_name, "unknown combo: " + combo);
+}
+
 } // namespace
+
+std::unique_ptr<Prefetcher>
+makePrefetcher(const std::string &name, CacheLevel level)
+{
+    Result<std::unique_ptr<Prefetcher>> pf =
+        tryMakePrefetcher(name, level);
+    if (!pf.ok())
+        throw std::invalid_argument(pf.error().message);
+    return pf.take();
+}
 
 Result<IpcpComboParams>
 parseIpcpCombo(const std::string &combo)
@@ -475,58 +532,6 @@ splitComboList(const std::string &list)
         pos = end + 1;
     }
     return out;
-}
-
-Status
-tryApplyCombo(System &sys, const std::string &combo)
-{
-    if (combo.rfind("ipcp:", 0) == 0) {
-        Result<IpcpComboParams> parsed = parseIpcpCombo(combo);
-        if (!parsed.ok())
-            return parsed.status();
-        const IpcpComboParams p = parsed.take();
-        applyIpcp(sys, p.l1, p.l2, p.useL2);
-        return Status();
-    }
-    if (combo == "none")
-        return setAll(sys, "none", "none", "none");
-    if (combo == "ipcp")
-        return setAll(sys, "ipcp", "ipcp", "none");
-    if (combo == "ipcp-l1")
-        return setAll(sys, "ipcp", "none", "none");
-    if (combo == "spp-ppf-dspatch")
-        return setAll(sys, "throttled-nl", "spp-ppf-dspatch",
-                      "nl-restrictive");
-    if (combo == "mlop")
-        return setAll(sys, "mlop", "nl-restrictive", "nl-restrictive");
-    if (combo == "bingo")
-        return setAll(sys, "bingo", "nl-restrictive",
-                      "nl-restrictive");
-    if (combo == "bingo-119k")
-        return setAll(sys, "bingo-119k", "nl-restrictive",
-                      "nl-restrictive");
-    if (combo == "tskid")
-        return setAll(sys, "tskid", "spp", "none");
-    if (combo.rfind("l1:", 0) == 0)
-        return setAll(sys, combo.substr(3), "none", "none");
-    if (combo.rfind("l2:", 0) == 0)
-        return setAll(sys, "none", combo.substr(3), "none");
-    if (combo.rfind("l1fill2:", 0) == 0) {
-        // Fig. 1: train at the L1 but fill only till the L2.
-        const std::string inner = combo.substr(8);
-        for (unsigned c = 0; c < sys.numCores(); ++c) {
-            auto pf = tryMakePrefetcher(inner, CacheLevel::L1D);
-            if (!pf.ok())
-                return pf.status();
-            sys.l1d(c).setPrefetcher(
-                std::make_unique<FillAtL2>(pf.take()));
-            sys.l2(c).setPrefetcher(
-                std::make_unique<NoPrefetcher>());
-        }
-        sys.llc().setPrefetcher(std::make_unique<NoPrefetcher>());
-        return Status();
-    }
-    return makeError(Errc::unknown_name, "unknown combo: " + combo);
 }
 
 void

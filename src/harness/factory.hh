@@ -36,10 +36,6 @@ namespace bouquet
 std::unique_ptr<Prefetcher> makePrefetcher(const std::string &name,
                                            CacheLevel level);
 
-/** Non-throwing makePrefetcher: Errc::unknown_name for bad names. */
-Result<std::unique_ptr<Prefetcher>>
-tryMakePrefetcher(const std::string &name, CacheLevel level);
-
 /**
  * Apply a named multi-level combination to every core of a system
  * (Table III):
@@ -55,16 +51,11 @@ tryMakePrefetcher(const std::string &name, CacheLevel level);
  *  - "l1:<name>"        : <name> at L1-D only
  *  - "l2:<name>"        : <name> at L2 only
  *
- * Throws std::invalid_argument for unknown combos.
+ * Throws std::invalid_argument for an unknown combo or prefetcher
+ * name and for a malformed `ipcp:` combo; inside a Runner batch that
+ * fails one job, not the process.
  */
 void applyCombo(System &sys, const std::string &combo);
-
-/**
- * Non-throwing applyCombo: Errc::unknown_name for an unknown combo
- * or prefetcher name, so a bad configuration fails one Runner job
- * instead of the process.
- */
-Status tryApplyCombo(System &sys, const std::string &combo);
 
 /** Names of the Table III combos, in the paper's presentation order. */
 const std::vector<std::string> &tableIIICombos();

@@ -1,8 +1,8 @@
 #include "harness/report.hh"
 
+#include <cstdio>
 #include <ostream>
 
-#include "common/json.hh"
 #include "common/stats.hh"
 #include "ipcp/metadata.hh"
 
@@ -85,29 +85,6 @@ Report::writeCsv(std::ostream &os) const
         for (std::size_t i = 0; i < kv.size(); ++i)
             os << kv[i].second << (i + 1 < kv.size() ? "," : "\n");
     }
-}
-
-void
-Report::writeJson(std::ostream &os) const
-{
-    // Routed through JsonWriter so trace/combo names with quotes,
-    // backslashes or control characters stay valid JSON (the old
-    // hand-rolled escaper missed control characters).
-    JsonWriter w(os, JsonWriter::Style::Pretty);
-    w.beginArray();
-    for (const ReportRow &row : rows_) {
-        w.beginObject();
-        for (const auto &[k, v] : flatten(row)) {
-            w.key(k);
-            if (k != "trace" && k != "combo")
-                w.rawValue(v);  // keep the historical %.6g formatting
-            else
-                w.value(v);
-        }
-        w.endObject();
-    }
-    w.endArray();
-    os << '\n';
 }
 
 } // namespace bouquet

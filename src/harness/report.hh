@@ -1,8 +1,8 @@
 /**
  * @file
  * Machine-readable result export: write collections of experiment
- * outcomes as CSV or JSON so plots and regression dashboards can be
- * built from bench output without screen-scraping the tables.
+ * outcomes as CSV so plots and regression dashboards can be built
+ * from bench output without screen-scraping the tables.
  */
 
 #ifndef BOUQUET_HARNESS_REPORT_HH
@@ -26,7 +26,7 @@ struct ReportRow
 };
 
 /**
- * Accumulates rows and renders them as CSV or JSON.
+ * Accumulates rows and renders them as CSV.
  *
  * Columns: trace, combo, ipc, instructions, cycles, per-level demand
  * misses / MPKI, prefetch issued / fills / useful / unused per level,
@@ -46,9 +46,6 @@ class Report
 
     /** Render as CSV with a header row. */
     void writeCsv(std::ostream &os) const;
-
-    /** Render as a JSON array of objects. */
-    void writeJson(std::ostream &os) const;
 
     /** The CSV column names, in output order. */
     static const std::vector<std::string> &columns();

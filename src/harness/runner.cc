@@ -25,6 +25,9 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
+/** Simulation attempts per job unless setMaxAttempts: one retry. */
+constexpr unsigned kDefaultAttempts = 2;
+
 /** Retry k of a transiently failed job first waits k times this. */
 constexpr std::chrono::milliseconds kRetryBackoff{10};
 
@@ -179,7 +182,7 @@ BatchStats::print(std::ostream &os) const
 Runner::Runner(unsigned threads)
     : threads_(threads > 0 ? threads : defaultThreads()),
       progress_(std::getenv("IPCP_PROGRESS") != nullptr),
-      maxAttempts_(1 + envUnsigned("IPCP_RETRIES", 1))
+      maxAttempts_(kDefaultAttempts)
 {
 }
 

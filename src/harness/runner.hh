@@ -22,10 +22,10 @@
  * that job only. Every other job completes, is stored in the external
  * cache, and returns its outcome in submission order; the failed
  * job's slot carries the error instead. Transient failures are
- * retried up to the attempt budget (IPCP_RETRIES retries, default 1,
- * or setMaxAttempts); retry k first waits k × 10 ms. A hung
- * simulation is caught by System's retire watchdog, and in a campaign
- * fleet by the supervisor's stall watchdog, not here.
+ * retried up to the attempt budget (two attempts, or setMaxAttempts);
+ * retry k first waits k × 10 ms. A hung simulation is caught by
+ * System's retire watchdog, and in a campaign fleet by the
+ * supervisor's stall watchdog, not here.
  */
 
 #ifndef BOUQUET_HARNESS_RUNNER_HH

@@ -1,10 +1,10 @@
 #include "harness/statsjson.hh"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/json.hh"
+#include "common/stateio.hh"
 #include "common/tracer.hh"
 
 namespace bouquet
@@ -44,16 +44,9 @@ writeTraceEvents(System &sys, const std::string &path)
     if (t == nullptr)
         return Status(makeError(
             Errc::failed, "event tracing was not enabled on this run"));
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os)
-        return Status(makeError(
-            Errc::io, "cannot open trace file '" + path + "'"));
+    std::ostringstream os;
     t->writeChromeJson(os);
-    os.flush();
-    if (!os)
-        return Status(makeError(
-            Errc::io, "short write to trace file '" + path + "'"));
-    return Status();
+    return publishFile(path, os.str());
 }
 
 } // namespace bouquet

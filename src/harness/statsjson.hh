@@ -4,10 +4,10 @@
  * pretty-printed JSON (schema-versioned, keyed by config hash and job
  * key) and the event-trace ring in Chrome trace_event format (loadable
  * by Perfetto / chrome://tracing). Both are exported after a run
- * completes. The stats JSON is formatted to a string, which the
- * harness lands with publishFile (atomic and durable); the trace
- * export is a plain write whose failure comes back as a Status, so an
- * export problem never fails an otherwise healthy experiment.
+ * completes. Both are formatted to a string and landed with
+ * publishFile (atomic and durable), so a kill never leaves a torn file
+ * under the real name; a failure comes back as a Status, so an export
+ * problem never fails an otherwise healthy experiment.
  */
 
 #ifndef BOUQUET_HARNESS_STATSJSON_HH
@@ -39,8 +39,9 @@ inline constexpr std::uint64_t kStatsJsonSchemaVersion = 1;
 std::string formatSystemStatsJson(System &sys, const std::string &job_key);
 
 /**
- * Write the event-trace ring of `sys` to `path` in Chrome trace_event
- * JSON. Returns an error Status if tracing was never enabled.
+ * Publish the event-trace ring of `sys` to `path` in Chrome
+ * trace_event JSON, replacing any earlier file whole. Returns an error
+ * Status if tracing was never enabled or the write failed.
  */
 Status writeTraceEvents(System &sys, const std::string &path);
 

@@ -491,7 +491,6 @@ TEST_F(CampaignTest, WorkerStartReapsOnlyAgedCheckpointTemps)
     // a live publish may still rename and every checkpoint a rerun
     // resumes from.
     EnvGuard ttl("IPCP_LEASE_TTL", "2");
-    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
     TempDir dir;
     const CampaignPaths paths(dir.file("camp"));
     ASSERT_TRUE(initCampaignDirs(paths).ok());
@@ -642,7 +641,6 @@ TEST_F(CampaignTest, QueueFaultPointsSurfaceAsErrors)
 TEST_F(CampaignTest, WorkerDrivesCampaignAndQuarantinesPoisonJob)
 {
     EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
-    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
     TempDir dir;
     const CampaignPaths paths(dir.file("camp"));
     ASSERT_TRUE(initCampaignDirs(paths).ok());
@@ -692,7 +690,6 @@ TEST_F(CampaignTest, WorkerDrivesCampaignAndQuarantinesPoisonJob)
 TEST_F(CampaignTest, ReclaimResumesDeadOwnersCheckpointDeterministically)
 {
     EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
-    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
     // Force frequent periodic checkpoints so the planted "crashed
     // owner" run leaves a mid-run checkpoint behind. The wall-clock
     // rate limit campaigns default to would suppress them all for a
@@ -761,7 +758,6 @@ TEST_F(CampaignTest, ReclaimResumesDeadOwnersCheckpointDeterministically)
 TEST_F(CampaignTest, CleanCampaignLeavesOnlyDoneFilesAndOnePulse)
 {
     EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
-    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
     EnvGuard warm_dir("IPCP_WARM_DIR", nullptr);
     EnvGuard warm("IPCP_WARM", nullptr);
     TempDir dir;
@@ -818,7 +814,6 @@ TEST_F(CampaignTest, CleanCampaignLeavesOnlyDoneFilesAndOnePulse)
 TEST_F(CampaignTest, FailedAttemptLogsAttemptAndFailure)
 {
     EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
-    EnvGuard budget("IPCP_QUARANTINE_AFTER", "2");
     TempDir dir;
     const CampaignPaths paths(dir.file("camp"));
     ASSERT_TRUE(initCampaignDirs(paths).ok());
@@ -840,15 +835,15 @@ TEST_F(CampaignTest, FailedAttemptLogsAttemptAndFailure)
     // attempt line and its error, until the budget parks the job.
     ASSERT_EQ(queue.state(bogus), JobState::Quarantined);
     const std::vector<std::string> lines = queue.history(bogus);
-    EXPECT_EQ(countLines(lines, "attempt owner=w"), 2u);
-    EXPECT_EQ(countLines(lines, "fail owner=w"), 2u);
+    EXPECT_EQ(countLines(lines, "attempt owner=w"), 3u);
+    EXPECT_EQ(countLines(lines, "fail owner=w"), 3u);
     EXPECT_TRUE(historyContains(lines, "kind=claim"));
     EXPECT_TRUE(historyContains(lines, "unknown combo"));
     EXPECT_TRUE(historyContains(lines, "attempt budget exhausted"));
 
     Result<CampaignTotals> totals = writeSummary(paths, spec);
     ASSERT_TRUE(totals.ok());
-    EXPECT_EQ(totals.value().attempts, 3u);
+    EXPECT_EQ(totals.value().attempts, 4u);
     EXPECT_EQ(totals.value().warmHits + totals.value().warmMisses, 1u);
 }
 
@@ -1151,7 +1146,6 @@ TEST_F(CampaignTest, BlockedPublishFreezesThePulseOnItsOwnJob)
 TEST_F(CampaignTest, WarmNospaceIsChargedToItsOwnJobOnly)
 {
     EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
-    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
     EnvGuard warm_dir("IPCP_WARM_DIR", nullptr);
     EnvGuard warm("IPCP_WARM", nullptr);
     TempDir dir;
@@ -1195,7 +1189,6 @@ TEST_F(CampaignTest, WarmNospaceIsChargedToItsOwnJobOnly)
 TEST_F(CampaignTest, ShutdownDrainLandsEveryFinishedJob)
 {
     EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
-    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
     TempDir dir;
     const CampaignPaths paths(dir.file("camp"));
     ASSERT_TRUE(initCampaignDirs(paths).ok());
@@ -1412,7 +1405,6 @@ TEST_F(DoneFileTest, RealOutcomeRoundTripsFieldForField)
 TEST_F(DoneFileTest, DamagedFileReadsIncompleteAndFailsScoring)
 {
     EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
-    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
     EnvGuard warm_dir("IPCP_WARM_DIR", nullptr);
     EnvGuard warm("IPCP_WARM", nullptr);
     const std::string trace = "603.bwaves_s-891B";

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -177,12 +178,11 @@ TEST(IpcpCombo, ParameterizedCombosApplyToASystem)
     workloads.push_back(
         makeWorkload(memIntensiveTraces().front().name));
     System sys(cfg, std::move(workloads));
-    EXPECT_TRUE(
-        tryApplyCombo(sys, "ipcp:ipEntries=128,gsDefaultDegree=4")
-            .ok());
-    Status bad = tryApplyCombo(sys, "ipcp:ipEntries=100");
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.error().code, Errc::corrupt);
+    EXPECT_NO_THROW(
+        applyCombo(sys, "ipcp:ipEntries=128,gsDefaultDegree=4"));
+    // 100 is not a power of two: parseIpcpCombo's Errc::corrupt.
+    EXPECT_THROW(applyCombo(sys, "ipcp:ipEntries=100"),
+                 std::invalid_argument);
 }
 
 TEST(IpcpCombo, SplitComboListKeepsParameterizedCombosWhole)

@@ -4,7 +4,9 @@
  * `| \`IPCP_…\` | default | meaning |` table is the one list of every
  * IPCP_* knob the program reads. A quoted "IPCP_…" literal under
  * src/, tools/ or bench/ without a row fails, and so does a row that
- * names a knob no such literal reads.
+ * names a knob no such literal reads. A knob that CI's workflow or a
+ * tools/ script sets must be one of those read, so a deleted knob
+ * cannot linger as a setting that does nothing.
  */
 
 #include <gtest/gtest.h>
@@ -78,6 +80,53 @@ knobRows()
     return rows;
 }
 
+/** `IPCP_NAME` at `pos` of `line` when `sep` directly follows it. */
+std::string
+assignedKnob(const std::string &line, std::size_t pos, char sep)
+{
+    const std::string knob = knobAt(line, pos);
+    const std::size_t end = pos + knob.size();
+    return end < line.size() && line[end] == sep ? knob : "";
+}
+
+/**
+ * Every IPCP_* name set by an env block entry (`IPCP_X: v`) in the CI
+ * workflow or by an assignment (`IPCP_X=v`) outside a comment in a
+ * shell script under tools/.
+ */
+std::set<std::string>
+knobsSet()
+{
+    std::set<std::string> knobs;
+    std::istringstream ci(slurp(kRoot / ".github/workflows/ci.yml"));
+    for (std::string line; std::getline(ci, line);) {
+        const std::size_t pos = line.find_first_not_of(' ');
+        if (pos != std::string::npos &&
+            line.compare(pos, 5, "IPCP_") == 0)
+            knobs.insert(assignedKnob(line, pos, ':'));
+    }
+    for (const auto &entry :
+         std::filesystem::directory_iterator(kRoot / "tools")) {
+        if (entry.path().extension() != ".sh")
+            continue;
+        std::istringstream script(slurp(entry.path()));
+        for (std::string line; std::getline(script, line);) {
+            const std::size_t first = line.find_first_not_of(" \t");
+            if (first == std::string::npos || line[first] == '#')
+                continue;
+            for (std::size_t pos = line.find("IPCP_");
+                 pos != std::string::npos;
+                 pos = line.find("IPCP_", pos + 1)) {
+                // -DIPCP_X=... is a CMake option, not a knob.
+                if (pos == 0 || !isKnobChar(line[pos - 1]))
+                    knobs.insert(assignedKnob(line, pos, '='));
+            }
+        }
+    }
+    knobs.erase("");
+    return knobs;
+}
+
 TEST(KnobTable, EveryKnobReadHasAReadmeRow)
 {
     const std::set<std::string> read = knobsRead();
@@ -99,6 +148,19 @@ TEST(KnobTable, EveryReadmeRowIsRead)
         EXPECT_TRUE(read.count(knob) != 0)
             << knob << " has a row in README.md's knob table but "
                        "nothing in src/, tools/ or bench/ reads it";
+}
+
+TEST(KnobTable, EveryKnobCiOrToolsSetsIsRead)
+{
+    const std::set<std::string> read = knobsRead();
+    const std::set<std::string> set = knobsSet();
+    // The workflow and the scripts were found and actually scanned.
+    ASSERT_GT(set.size(), 5u);
+    for (const std::string &knob : set)
+        EXPECT_TRUE(read.count(knob) != 0)
+            << knob << " is set in .github/workflows/ci.yml or a "
+                       "tools/ script but nothing in src/, tools/ or "
+                       "bench/ reads it";
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-/** @file Tests for the CSV/JSON result exporter. */
+/** @file Tests for the CSV result exporter. */
 
 #include <gtest/gtest.h>
 
@@ -69,34 +69,6 @@ TEST(Report, CsvCarriesClassBreakdown)
     EXPECT_NE(os.str().find("l1d_useful_gs"), std::string::npos);
 }
 
-TEST(Report, JsonIsWellFormedEnough)
-{
-    Report r;
-    r.add("trace\"quoted", "ipcp", sampleOutcome());
-    std::ostringstream os;
-    r.writeJson(os);
-    const std::string out = os.str();
-    EXPECT_EQ(out.front(), '[');
-    EXPECT_EQ(out[out.size() - 2], ']');
-    // The quote in the trace name must be escaped.
-    EXPECT_NE(out.find("trace\\\"quoted"), std::string::npos);
-    EXPECT_NE(out.find("\"ipc\": 1.25"), std::string::npos);
-}
-
-TEST(Report, JsonEscapesControlCharacters)
-{
-    // The old hand-rolled escaper only handled quotes and
-    // backslashes; a newline or tab in a name produced invalid JSON.
-    Report r;
-    r.add("trace\nwith\tcontrol", "combo\\back", sampleOutcome());
-    std::ostringstream os;
-    r.writeJson(os);
-    const std::string out = os.str();
-    EXPECT_EQ(out.find('\t'), std::string::npos);
-    EXPECT_NE(out.find("trace\\nwith\\tcontrol"), std::string::npos);
-    EXPECT_NE(out.find("combo\\\\back"), std::string::npos);
-}
-
 TEST(Report, CsvCarriesIssuedAndLateColumns)
 {
     Report r;
@@ -114,12 +86,10 @@ TEST(Report, CsvCarriesIssuedAndLateColumns)
 TEST(Report, EmptyReportStillValid)
 {
     Report r;
-    std::ostringstream csv, json;
+    std::ostringstream csv;
     r.writeCsv(csv);
-    r.writeJson(json);
     const std::string csv_out = csv.str();
     EXPECT_EQ(std::count(csv_out.begin(), csv_out.end(), '\n'), 1);
-    EXPECT_EQ(json.str(), "[]\n");
 }
 
 } // namespace

@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <cerrno>
@@ -32,6 +35,7 @@
 #include "common/stateio.hh"
 #include "harness/diskbudget.hh"
 #include "harness/experiment.hh"
+#include "harness/factory.hh"
 #include "harness/outcomestore.hh"
 #include "harness/statsjson.hh"
 #include "harness/warmstore.hh"
@@ -71,6 +75,111 @@ struct EnvGuard
     const char *name_;
     bool had_;
     std::string old_;
+};
+
+/**
+ * Recursive-descent recogniser for JSON: document() is true when the
+ * text is exactly one value with only whitespace around it. Numbers
+ * are checked loosely (a sign or digit, then whatever strtod takes).
+ */
+class JsonRecognizer
+{
+  public:
+    explicit JsonRecognizer(std::string text) : s_(std::move(text)) {}
+
+    bool
+    document()
+    {
+        if (!value())
+            return false;
+        skipSpace();
+        return i_ == s_.size();
+    }
+
+  private:
+    void
+    skipSpace()
+    {
+        while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\n' ||
+                                  s_[i_] == '\r' || s_[i_] == '\t'))
+            ++i_;
+    }
+
+    bool
+    eat(char c)
+    {
+        skipSpace();
+        if (i_ >= s_.size() || s_[i_] != c)
+            return false;
+        ++i_;
+        return true;
+    }
+
+    bool
+    value()
+    {
+        skipSpace();
+        if (i_ >= s_.size())
+            return false;
+        if (s_[i_] == '{' || s_[i_] == '[')
+            return members(s_[i_] == '{');
+        if (s_[i_] == '"')
+            return string();
+        for (const char *word : {"true", "false", "null"}) {
+            if (s_.compare(i_, std::strlen(word), word) == 0) {
+                i_ += std::strlen(word);
+                return true;
+            }
+        }
+        if (s_[i_] != '-' &&
+            !std::isdigit(static_cast<unsigned char>(s_[i_])))
+            return false;
+        char *end = nullptr;
+        std::strtod(s_.c_str() + i_, &end);
+        i_ = static_cast<std::size_t>(end - s_.c_str());
+        return true;
+    }
+
+    bool
+    members(bool object)
+    {
+        const char close = object ? '}' : ']';
+        ++i_;  // the opening bracket
+        if (eat(close))
+            return true;
+        do {
+            if (object) {
+                skipSpace();
+                if (!string() || !eat(':'))
+                    return false;
+            }
+            if (!value())
+                return false;
+        } while (eat(','));
+        return eat(close);
+    }
+
+    bool
+    string()
+    {
+        if (i_ >= s_.size() || s_[i_] != '"')
+            return false;
+        for (++i_; i_ < s_.size(); ++i_) {
+            const auto c = static_cast<unsigned char>(s_[i_]);
+            if (c == '"') {
+                ++i_;
+                return true;
+            }
+            if (c < 0x20)
+                return false;
+            if (c == '\\')
+                ++i_;  // skip the escaped character
+        }
+        return false;
+    }
+
+    std::string s_;
+    std::size_t i_ = 0;
 };
 
 void
@@ -300,6 +409,50 @@ TEST_F(ResilienceTest, StatsJsonOverwriteLeavesOneWholeDocument)
     EXPECT_EQ(body.str().substr(body.str().size() - 2), "}\n");
     for (const auto &entry : std::filesystem::directory_iterator(dir.path))
         EXPECT_EQ(entry.path().filename().string(), "stats-x.json");
+}
+
+TEST_F(ResilienceTest, TraceEventsOverwriteLeavesOneWholeDocument)
+{
+    TempDir dir;
+    const std::string path = dir.file("trace.json");
+    // A longer earlier file: a truncating rewrite that stopped short
+    // would leave its tail behind.
+    writeBytes(path, std::string(1 << 20, 'x'));
+    struct stat before{};
+    ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+    ExperimentConfig cfg;
+    cfg.warmupInstrs = 1'000;
+    cfg.simInstrs = 4'000;
+    cfg.traceEventsPath = path;
+    const Outcome out =
+        runSingleCore(findTrace("603.bwaves_s-891B"),
+                      [](System &s) { applyCombo(s, "ipcp"); }, cfg);
+    EXPECT_GT(out.ipc, 0.0);
+
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream body;
+    body << in.rdbuf();
+    EXPECT_EQ(body.str().rfind("{\"displayTimeUnit\"", 0), 0u);
+    EXPECT_NE(body.str().find("\"pf_issue\""), std::string::npos);
+    EXPECT_TRUE(JsonRecognizer(body.str()).document())
+        << body.str().substr(body.str().size() - 200);
+    // Published through a temp renamed over the old file, not
+    // rewritten in place, and no temp is left behind.
+    struct stat after{};
+    ASSERT_EQ(::stat(path.c_str(), &after), 0);
+    EXPECT_NE(after.st_ino, before.st_ino);
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path))
+        EXPECT_EQ(entry.path().filename().string(), "trace.json");
+}
+
+TEST(JsonRecognizer, RejectsTornAndTrailingText)
+{
+    EXPECT_TRUE(JsonRecognizer("{\"a\": [1, -2.5e3, \"x\\\"y\", null]}\n")
+                    .document());
+    EXPECT_FALSE(JsonRecognizer("{\"a\": [1, 2").document());
+    EXPECT_FALSE(JsonRecognizer("{\"a\": 1}xxxx").document());
+    EXPECT_FALSE(JsonRecognizer("{\"a\" 1}").document());
 }
 
 TEST_F(ResilienceTest, FailedStatsJsonWriteOnlyCountsAStatsDegrade)

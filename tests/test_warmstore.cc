@@ -404,7 +404,6 @@ TEST(WarmCampaign, SecondCampaignWarmHitsWithIdenticalReport)
     EnvGuard warm_dir("IPCP_WARM_DIR", shared_warm.c_str());
     EnvGuard warm_on("IPCP_WARM", nullptr);
     EnvGuard ttl("IPCP_LEASE_TTL", nullptr);
-    EnvGuard budget("IPCP_QUARANTINE_AFTER", nullptr);
 
     const std::string trace_file = dir.file("t.trace");
     {

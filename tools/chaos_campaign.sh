@@ -265,7 +265,7 @@ say "ENOSPC pass: report byte-identical, degradation + GC observed"
 # ---- stall-watchdog pass (DESIGN.md §5i) ----
 # A worker wedged in an infinite loop inside a claimed job — heartbeat
 # thread still renewing the lease, progress epoch frozen — must be
-# detected by the supervisor within IPCP_STALL_TIMEOUT plus one scan,
+# detected by the supervisor within --stall-timeout plus one scan,
 # SIGKILLed, and its job quarantined; the respawned fleet then drives
 # the rest of the sweep to completion. worker.wedge@3 wedges each
 # worker process on its third claimed job, so every respawn makes
@@ -279,10 +279,9 @@ say "stall pass: $STALL_JOBS jobs, workers wedging on their 3rd claim, 2s watchd
 # TTL 3s: the heartbeat refreshes the pulse (with a fresh epoch)
 # every TTL/3 = 1s, so a healthy-but-slow job can never look frozen
 # past the 2s watchdog — only a genuinely wedged epoch can.
-env IPCP_FAULTS='worker.wedge@3' IPCP_STALL_TIMEOUT=2 \
-    IPCP_LEASE_TTL=3 \
+env IPCP_FAULTS='worker.wedge@3' IPCP_LEASE_TTL=3 \
     "$CAMPAIGN_BIN" run "$STALL_DIR" --workers 1 --respawn 8 \
-    --no-progress 2> "$STALL_LOG" \
+    --stall-timeout 2 --no-progress 2> "$STALL_LOG" \
     || { cat "$STALL_LOG" >&2; die "stall campaign exited nonzero"; }
 
 grep -q "stalled on" "$STALL_LOG" \

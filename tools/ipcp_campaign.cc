@@ -15,9 +15,9 @@
  * `ipcp_sim --worker DIR` processes, streams progress, respawns dead
  * workers, and aggregates report.json + summary.json when every job
  * is done or quarantined. Workers may equally be started by hand on
- * any machine sharing the directory. Queue behaviour is tuned by
- * IPCP_LEASE_TTL (seconds, default 30) and IPCP_QUARANTINE_AFTER
- * (started attempts before a poison job is parked, default 3).
+ * any machine sharing the directory. IPCP_LEASE_TTL (seconds,
+ * default 30) tunes the queue; a poison job is parked after 3 started
+ * attempts.
  */
 
 #include <cstdlib>
@@ -62,13 +62,11 @@ usage()
         "                       (also IPCP_STRICT)\n"
         "    --stall-timeout S  kill a worker whose simulation makes\n"
         "                       no progress for S seconds and\n"
-        "                       quarantine its job (also\n"
-        "                       IPCP_STALL_TIMEOUT; default off)\n"
+        "                       quarantine its job (default off)\n"
         "  status DIR           print one counts line and exit\n"
         "  aggregate DIR        rewrite report.json + summary.json\n"
-        "env: IPCP_LEASE_TTL, IPCP_QUARANTINE_AFTER, IPCP_SIM_INSTRS,\n"
-        "     IPCP_WARMUP_INSTRS, IPCP_CKPT_EVERY, IPCP_RETRIES,\n"
-        "     IPCP_STALL_TIMEOUT, IPCP_WARM_BUDGET_MB\n"
+        "env: IPCP_LEASE_TTL, IPCP_SIM_INSTRS, IPCP_WARMUP_INSTRS,\n"
+        "     IPCP_CKPT_EVERY, IPCP_WARM_BUDGET_MB\n"
         "     (IPCP_STORE_BUDGET_MB does not apply: each job's done\n"
         "     file carries its outcome; README.md's knob table lists\n"
         "     every knob)\n";

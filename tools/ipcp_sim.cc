@@ -83,14 +83,14 @@ usage()
         "                       inserts the combo name before the\n"
         "                       extension)\n"
         "  --trace-events F     trace prefetch/throttle events into a\n"
-        "                       bounded ring (IPCP_TRACE_CAP, default\n"
-        "                       65536) and write Chrome trace_event\n"
-        "                       JSON to F (viewable in Perfetto)\n"
+        "                       ring of the last 65536 and write\n"
+        "                       Chrome trace_event JSON to F (viewable\n"
+        "                       in Perfetto; a combo list inserts the\n"
+        "                       combo name before the extension)\n"
         "  --worker DIR         run as a stateless campaign worker:\n"
         "                       claim jobs from DIR's work queue until\n"
         "                       all are done or quarantined (see\n"
-        "                       ipcp_campaign; IPCP_LEASE_TTL,\n"
-        "                       IPCP_QUARANTINE_AFTER)\n"
+        "                       ipcp_campaign; IPCP_LEASE_TTL)\n"
         "  --strict             exit nonzero if any job fails (default:\n"
         "                       only when all fail; also IPCP_STRICT)\n"
         "  --perf               print per-job wall time, KIPS, the\n"

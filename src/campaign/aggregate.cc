@@ -149,7 +149,6 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
                 std::uint64_t warm_hits = 0;
                 std::uint64_t warm_misses = 0;
                 std::uint64_t degraded = 0;
-                std::uint64_t evicted = 0;
                 const std::vector<std::string> lines =
                     queue.history(hash);
                 for (const std::string &line : lines) {
@@ -174,10 +173,6 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
                         totals.degradedStats += stats_d;
                         degraded +=
                             store_d + warm_d + ckpt_d + stats_d;
-                        const std::uint64_t ev =
-                            lineField(line, "evicted");
-                        totals.gcEvicted += ev;
-                        evicted += ev;
                     }
                 }
                 // The history charges only attempts that did not
@@ -227,8 +222,6 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
                 json.value(warm_hits);
                 json.key("degraded_writes");
                 json.value(degraded);
-                json.key("gc_evicted");
-                json.value(evicted);
                 if (state == JobState::Quarantined) {
                     json.key("history");
                     json.beginArray();
@@ -269,8 +262,6 @@ writeSummary(const CampaignPaths &paths, const CampaignSpec &spec)
             json.value(totals.degradedCkpt);
             json.key("degraded_stats_writes");
             json.value(totals.degradedStats);
-            json.key("gc_evicted");
-            json.value(totals.gcEvicted);
             json.endObject();
             json.endObject();
         });

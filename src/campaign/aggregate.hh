@@ -41,13 +41,12 @@ struct CampaignTotals
     std::uint64_t resumed = 0;     //!< runs continued from checkpoint
     std::uint64_t warmHits = 0;    //!< done jobs that skipped warmup
     std::uint64_t warmMisses = 0;  //!< done jobs that simulated it
-    // Degraded publishes (writes downgraded to pass-through, §5i) and
-    // disk-budget GC evictions, summed from per-job history lines.
+    // Degraded publishes (writes downgraded to pass-through, §5i),
+    // summed from per-job history lines.
     std::uint64_t degradedStore = 0;
     std::uint64_t degradedWarm = 0;
     std::uint64_t degradedCkpt = 0;
     std::uint64_t degradedStats = 0;
-    std::uint64_t gcEvicted = 0;
 
     std::uint64_t degradedTotal() const
     {

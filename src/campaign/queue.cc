@@ -325,14 +325,12 @@ WorkQueue::recordResume(const std::string &hash,
 void
 WorkQueue::recordDegraded(const std::string &hash,
                           std::uint64_t store, std::uint64_t warm,
-                          std::uint64_t ckpt, std::uint64_t stats,
-                          std::uint64_t evicted) const
+                          std::uint64_t ckpt, std::uint64_t stats) const
 {
     appendHistory(hash, "degraded store=" + std::to_string(store) +
                             " warm=" + std::to_string(warm) +
                             " ckpt=" + std::to_string(ckpt) +
-                            " stats=" + std::to_string(stats) +
-                            " evicted=" + std::to_string(evicted));
+                            " stats=" + std::to_string(stats));
 }
 
 unsigned

@@ -184,14 +184,13 @@ class WorkQueue
 
     /**
      * Append an attempt's degraded-publish counts (per-kind deltas
-     * from the process-wide ledger, §5i) plus disk-budget evictions.
-     * Only written when at least one count is nonzero; summed into
-     * summary.json's degradation totals.
+     * from the process-wide ledger, §5i). Only written when at least
+     * one count is nonzero; summed into summary.json's degradation
+     * totals.
      */
     void recordDegraded(const std::string &hash, std::uint64_t store,
                         std::uint64_t warm, std::uint64_t ckpt,
-                        std::uint64_t stats,
-                        std::uint64_t evicted) const;
+                        std::uint64_t stats) const;
 
     /** Charged attempts so far (`attempt` lines in the log). */
     unsigned attemptCount(const std::string &hash) const;

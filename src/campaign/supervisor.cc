@@ -260,7 +260,7 @@ runSupervisor(const std::string &root, const SupervisorOptions &opts)
               << " resumes=" << totals.value().resumed
               << " warm-hits=" << totals.value().warmHits
               << " degraded-writes=" << totals.value().degradedTotal()
-              << " gc-evicted=" << totals.value().gcEvicted << "\n";
+              << "\n";
 
     // Exit contract, mirroring the bench/sim rules: full or contained
     // success is 0; strict makes any parked job fail the campaign.

@@ -17,7 +17,6 @@
 #include "common/publisher.hh"
 #include "common/stateio.hh"
 #include "common/statsink.hh"
-#include "harness/diskbudget.hh"
 #include "harness/runner.hh"
 #include "harness/warmstore.hh"
 
@@ -103,7 +102,6 @@ WriteTally::ofThisThread()
     for (std::size_t k = 0; k < kDegradeKinds; ++k)
         t.degraded[k] =
             degradedCountOnThread(static_cast<DegradeKind>(k));
-    t.evicted = gcEvictedOnThread();
     return t;
 }
 
@@ -113,7 +111,6 @@ WriteTally::operator-(const WriteTally &since) const
     WriteTally d;
     for (std::size_t k = 0; k < kDegradeKinds; ++k)
         d.degraded[k] = degraded[k] - since.degraded[k];
-    d.evicted = evicted - since.evicted;
     return d;
 }
 
@@ -123,7 +120,6 @@ WriteTally::operator+(const WriteTally &other) const
     WriteTally sum;
     for (std::size_t k = 0; k < kDegradeKinds; ++k)
         sum.degraded[k] = degraded[k] + other.degraded[k];
-    sum.evicted = evicted + other.evicted;
     return sum;
 }
 
@@ -134,7 +130,7 @@ WriteTally::any() const
         if (n != 0)
             return true;
     }
-    return evicted != 0;
+    return false;
 }
 
 void
@@ -164,7 +160,7 @@ finishAttempt(const WorkQueue &queue, Heartbeat &heartbeat,
         queue.recordDegraded(end.hash, kind(DegradeKind::store),
                              kind(DegradeKind::warm),
                              kind(DegradeKind::ckpt),
-                             kind(DegradeKind::stats), tally.evicted);
+                             kind(DegradeKind::stats));
     }
 
     if (end.ok) {
@@ -284,11 +280,14 @@ runWorker(const std::string &root)
     ExperimentConfig cfg = campaignConfig(paths, spec);
     const std::string owner = "w" + std::to_string(::getpid());
     WorkQueue queue(QueueConfig::fromEnv(paths.queueDir()), owner);
-    // A worker killed during a checkpoint save or a stats publish
-    // leaves its publish temp in ckpts/ or stats/; queue scans never
-    // look there.
-    removeStaleFiles(paths.ckptDir(), 2.0 * queue.config().leaseTtl);
-    removeStaleFiles(paths.statsDir(), 2.0 * queue.config().leaseTtl);
+    // A worker killed during a checkpoint save, a stats publish or a
+    // warm publish leaves its publish temp in ckpts/, stats/ or the
+    // warm dir; queue scans never look there.
+    const double stale = 2.0 * queue.config().leaseTtl;
+    removeStaleFiles(paths.ckptDir(), stale);
+    removeStaleFiles(paths.statsDir(), stale);
+    if (!cfg.warmDir.empty())
+        removeStaleFiles(cfg.warmDir, stale);
     Runner runner(1);
     Heartbeat heartbeat(queue);
     // Declared after what its tasks use, so it drains before they go.
@@ -361,9 +360,6 @@ runWorker(const std::string &root)
               << " warm=" << stat("ipcp.degraded.warm.writes")
               << " ckpt=" << stat("ipcp.degraded.ckpt.writes")
               << " stats=" << stat("ipcp.degraded.stats.writes")
-              << " | gc evicted="
-              << (stat("ipcp.gc.store.evicted") +
-                  stat("ipcp.gc.warm.evicted"))
               << "\n";
     return 0;
 }

@@ -8,7 +8,8 @@
  * SIGINT/SIGTERM drain is requested. A reclaimed job auto-resumes the
  * dead owner's key-derived checkpoint through the ordinary
  * prepare-system path. On start a worker removes stale publish temps
- * from the campaign's ckpts/ and stats/ (removeStaleFiles).
+ * from the campaign's ckpts/ and stats/ and from its warm dir
+ * (removeStaleFiles).
  *
  * A job's files land on the worker's one Publisher thread while the
  * worker claims and simulates the next job (DESIGN.md §5g): its warm
@@ -87,11 +88,10 @@ class Heartbeat
     std::thread thread_;
 };
 
-/** Degraded writes and disk-budget evictions made on one thread. */
+/** Degraded writes made on one thread, per kind. */
 struct WriteTally
 {
     std::uint64_t degraded[kDegradeKinds] = {};
-    std::uint64_t evicted = 0;
 
     /** The calling thread's totals so far. */
     static WriteTally ofThisThread();

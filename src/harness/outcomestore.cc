@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -12,7 +11,6 @@
 #include "common/degrade.hh"
 #include "common/faultinject.hh"
 #include "common/stateio.hh"
-#include "harness/diskbudget.hh"
 
 namespace bouquet
 {
@@ -22,8 +20,6 @@ namespace
 
 constexpr std::uint64_t kMagic = 0x4950'4350'4341'4348ull;  // "IPCPCACH"
 constexpr std::uint32_t kMaxKeyLen = 4096;
-constexpr std::size_t kHeaderBytes =
-    sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t);
 
 std::uint64_t
 fnv1a(const void *data, std::size_t n,
@@ -38,26 +34,9 @@ fnv1a(const void *data, std::size_t n,
 }
 
 std::uint64_t
-recordChecksum(const std::string &key, const Outcome &o,
-               std::uint64_t stamp)
+recordChecksum(const std::string &key, const Outcome &o)
 {
-    std::uint64_t h = fnv1a(key.data(), key.size());
-    h = fnv1a(&o, sizeof(Outcome), h);
-    return fnv1a(&stamp, sizeof(stamp), h);
-}
-
-/** Serialized bytes of one record (length/key/outcome/stamp/sum). */
-std::size_t
-recordBytes(const std::string &key)
-{
-    return sizeof(std::uint32_t) + key.size() + sizeof(Outcome) +
-           2 * sizeof(std::uint64_t);
-}
-
-std::uint64_t
-nowStamp()
-{
-    return static_cast<std::uint64_t>(std::time(nullptr));
+    return fnv1a(&o, sizeof(Outcome), fnv1a(key.data(), key.size()));
 }
 
 /** File size, or -1 when it cannot be stat'ed. */
@@ -108,9 +87,7 @@ class FileLock
 
 } // namespace
 
-OutcomeStore::OutcomeStore(std::string path)
-    : path_(std::move(path)),
-      budgetBytes_(envBudgetBytes("IPCP_STORE_BUDGET_MB"))
+OutcomeStore::OutcomeStore(std::string path) : path_(std::move(path))
 {
     if (path_.empty())
         return;
@@ -132,10 +109,10 @@ OutcomeStore::evictEmptyFile()
         ::unlink(path_.c_str());
 }
 
-std::map<std::string, OutcomeStore::Stamped>
+std::map<std::string, Outcome>
 OutcomeStore::readDisk(std::size_t *corrupt) const
 {
-    std::map<std::string, Stamped> entries;
+    std::map<std::string, Outcome> entries;
     if (faultCheck(faults::kStoreRead, path_))
         return entries;  // injected read failure: treat as no cache
     std::FILE *f = std::fopen(path_.c_str(), "rb");
@@ -178,42 +155,18 @@ OutcomeStore::readDisk(std::size_t *corrupt) const
         if (len == 0 || len > kMaxKeyLen)
             return reject(1);
         std::string key(len, '\0');
-        Stamped s;
+        Outcome o;
         std::uint64_t checksum = 0;
         if (std::fread(key.data(), 1, len, f) != len ||
-            std::fread(&s.outcome, sizeof(Outcome), 1, f) != 1 ||
-            std::fread(&s.stamp, sizeof(s.stamp), 1, f) != 1 ||
+            std::fread(&o, sizeof(Outcome), 1, f) != 1 ||
             std::fread(&checksum, sizeof(checksum), 1, f) != 1)
             return reject(1);  // short record: file was truncated
-        if (checksum != recordChecksum(key, s.outcome, s.stamp))
+        if (checksum != recordChecksum(key, o))
             return reject(1);  // bit rot / interleaved write
-        entries[key] = s;
+        entries[key] = o;
     }
     std::fclose(f);
     return entries;
-}
-
-void
-OutcomeStore::enforceBudgetLocked()
-{
-    if (budgetBytes_ == 0)
-        return;
-    std::size_t total = kHeaderBytes;
-    for (const auto &[key, s] : cache_)
-        total += recordBytes(key);
-    // Keep at least the newest record: a budget smaller than one
-    // record must not turn the store into a black hole.
-    while (total > budgetBytes_ && cache_.size() > 1) {
-        auto victim = cache_.begin();
-        for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-            if (it->second.stamp < victim->second.stamp)
-                victim = it;
-        }
-        total -= recordBytes(victim->first);
-        cache_.erase(victim);
-        ++evictions_;
-        noteGcEvicted(BudgetKind::store, 1);
-    }
 }
 
 Status
@@ -225,10 +178,8 @@ OutcomeStore::mergeAndPersistLocked()
 
     // Pick up entries other processes completed since our last read so
     // the rewrite below never drops them.
-    for (auto &[key, stamped] : readDisk(nullptr))
-        cache_.emplace(key, stamped);
-
-    enforceBudgetLocked();
+    for (auto &[key, outcome] : readDisk(nullptr))
+        cache_.emplace(key, outcome);
 
     if (auto fault = faultCheck(faults::kStoreWrite, path_))
         return *fault;
@@ -246,14 +197,12 @@ OutcomeStore::mergeAndPersistLocked()
     append(image, &kMagic, sizeof(kMagic));
     append(image, &version, sizeof(version));
     append(image, &record_bytes, sizeof(record_bytes));
-    for (const auto &[key, s] : cache_) {
+    for (const auto &[key, outcome] : cache_) {
         const auto len = static_cast<std::uint32_t>(key.size());
-        const std::uint64_t checksum =
-            recordChecksum(key, s.outcome, s.stamp);
+        const std::uint64_t checksum = recordChecksum(key, outcome);
         append(image, &len, sizeof(len));
         append(image, key.data(), len);
-        append(image, &s.outcome, sizeof(Outcome));
-        append(image, &s.stamp, sizeof(s.stamp));
+        append(image, &outcome, sizeof(Outcome));
         append(image, &checksum, sizeof(checksum));
     }
     return publishFile(path_, image);
@@ -267,14 +216,13 @@ OutcomeStore::get(const std::string &key, Outcome &out)
     if (it == cache_.end() && !path_.empty()) {
         // Memory miss: a concurrent process may have completed this
         // entry — re-read the (small) file rather than re-simulate.
-        for (auto &[k, s] : readDisk(nullptr))
-            cache_.emplace(k, s);
+        for (auto &[k, o] : readDisk(nullptr))
+            cache_.emplace(k, o);
         it = cache_.find(key);
     }
     if (it == cache_.end())
         return false;
-    it->second.stamp = nowStamp();  // LRU touch (persisted next put)
-    out = it->second.outcome;
+    out = it->second;
     return true;
 }
 
@@ -282,7 +230,7 @@ Status
 OutcomeStore::put(const std::string &key, const Outcome &out)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    cache_[key] = Stamped{out, nowStamp()};
+    cache_[key] = out;
     if (path_.empty())
         return Status();
     // On failure the entry stays in cache_, so the next successful
@@ -307,13 +255,6 @@ OutcomeStore::lockFailures() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return lockFailures_;
-}
-
-std::uint64_t
-OutcomeStore::evictions() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return evictions_;
 }
 
 } // namespace bouquet

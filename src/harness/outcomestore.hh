@@ -45,11 +45,8 @@ namespace bouquet
  * additionally counted as a degraded store publish, see
  * common/degrade.hh). All member functions are thread-safe.
  *
- * Records carry a last-used stamp so the store can garbage-collect
- * itself under IPCP_STORE_BUDGET_MB: when the merged file would
- * exceed the budget, the least-recently-used records are dropped
- * (from disk and memory) until it fits — the single-file analogue of
- * DiskBudget's per-file LRU sweep, counted in evictions().
+ * Nothing evicts records: the file holds one per job key its benches
+ * ever ran, and get() never writes.
  *
  * Declares the `store.read`, `store.write`, `store.flock` and
  * `store.nospace` fault-injection points.
@@ -59,8 +56,9 @@ class OutcomeStore
   public:
     /** Bump when the record layout or key format changes.
      *  v5: Outcome gained the warmStart provenance flag.
-     *  v6: records carry a last-used stamp (LRU GC under budget). */
-    static constexpr std::uint32_t kFormatVersion = 6;
+     *  v6: records carried a last-used stamp (LRU GC under budget).
+     *  v7: the stamp is gone. */
+    static constexpr std::uint32_t kFormatVersion = 7;
 
     /** @param path cache file; empty = in-memory only */
     explicit OutcomeStore(std::string path);
@@ -88,22 +86,11 @@ class OutcomeStore
     /** Times the sidecar lock could not be taken (write went ahead). */
     std::size_t lockFailures() const;
 
-    /** Records dropped by the budget GC (memory and disk). */
-    std::uint64_t evictions() const;
-
     const std::string &path() const { return path_; }
 
   private:
-    struct Stamped
-    {
-        Outcome outcome;
-        std::uint64_t stamp = 0;  //!< wall seconds at last get/put
-    };
-
-    std::map<std::string, Stamped> readDisk(std::size_t *corrupt) const;
+    std::map<std::string, Outcome> readDisk(std::size_t *corrupt) const;
     Status mergeAndPersistLocked();
-    /** Drop LRU records until the serialized size fits the budget. */
-    void enforceBudgetLocked();
     /** Unlink the store file iff it is (still) zero bytes. */
     void evictEmptyFile();
 
@@ -111,9 +98,7 @@ class OutcomeStore
     mutable std::mutex mutex_;
     std::size_t corrupt_ = 0;
     std::size_t lockFailures_ = 0;
-    std::uint64_t evictions_ = 0;
-    std::uint64_t budgetBytes_ = 0;  //!< 0 = unlimited
-    std::map<std::string, Stamped> cache_;
+    std::map<std::string, Outcome> cache_;
 };
 
 } // namespace bouquet

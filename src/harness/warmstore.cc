@@ -82,26 +82,19 @@ removeKeyLockSidecars(const std::string &dir)
 } // namespace
 
 /**
- * The store's critical section for the operations that unlink: heals
- * and budget sweeps. lockMutex_ within the process, flock on the
- * directory's one lock file across processes. The first Lock makes
- * the directory and opens the lock file, which stays open for the
- * store's life. Publishes write outside it (their tmp+rename is
- * atomic), so an unlink can at worst remove a just-published complete
- * file, costing a re-publish, not correctness; the same holds when
- * the lock file cannot be opened or flocked.
+ * The store's critical section for heals, the one operation that
+ * unlinks: lockMutex_ within the process, flock on the directory's one
+ * lock file across processes. Publishes write outside it (their
+ * tmp+rename is atomic), so a heal can at worst remove a
+ * just-published complete file, costing a re-publish, not
+ * correctness; the same holds when the lock file could not be opened
+ * or flocked.
  */
 class WarmStore::Lock
 {
   public:
     explicit Lock(WarmStore &store) : guard_(store.lockMutex_)
     {
-        if (store.lockFd_ < 0) {
-            ::mkdir(store.dir_.c_str(), 0777);  // publish reports
-            store.lockFd_ =
-                ::open((store.dir_ + "/" + kLockFile).c_str(),
-                       O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-        }
         if (store.lockFd_ >= 0 && ::flock(store.lockFd_, LOCK_EX) == 0)
             fd_ = store.lockFd_;
     }
@@ -146,16 +139,13 @@ warmupKey(const std::vector<TraceSpec> &specs,
     return key;
 }
 
-WarmStore::WarmStore(std::string dir)
-    : dir_(std::move(dir)),
-      budget_(dir_, "warm-", ".ckpt",
-              envBudgetBytes("IPCP_WARM_BUDGET_MB"), BudgetKind::warm)
+WarmStore::WarmStore(std::string dir) : dir_(std::move(dir))
 {
+    // publishFile writes into dir_ and does not create it.
+    ::mkdir(dir_.c_str(), 0777);
+    lockFd_ = ::open((dir_ + "/" + kLockFile).c_str(),
+                     O_CREAT | O_RDWR | O_CLOEXEC, 0644);
     removeKeyLockSidecars(dir_);
-    if (budget_.enabled()) {
-        Lock lock(*this);
-        budget_.sweep();  // reclaim an over-budget dir left by a crash
-    }
 }
 
 WarmStore::~WarmStore()
@@ -241,13 +231,6 @@ WarmStore::publish(const std::string &key, std::uint64_t config_hash,
     remember(key, config_hash, shared);
     publishes_.fetch_add(1);
 
-    {
-        // Make room before (not after) the write: evicting the LRU
-        // warm states first keeps the new publish from hitting ENOSPC
-        // that the budget could have prevented.
-        Lock lock(*this);
-        budget_.sweep(shared->size());
-    }
     const std::string path = pathFor(key);
     if (fileBytes(path) > 0)
         return Status();  // racing publisher already wrote these bytes
@@ -312,10 +295,6 @@ harnessCacheStats()
         r->addCounter("ipcp.degraded.stats.writes", [] {
             return degradedCount(DegradeKind::stats);
         });
-        r->addCounter("ipcp.gc.store.evicted",
-                      [] { return gcEvicted(BudgetKind::store); });
-        r->addCounter("ipcp.gc.warm.evicted",
-                      [] { return gcEvicted(BudgetKind::warm); });
         return r;
     }();
     return *reg;

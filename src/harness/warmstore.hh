@@ -24,9 +24,12 @@
  *
  * A stale, truncated, or corrupt warm file is never an error — it
  * heals to a miss: the reader revalidates under the store's one flock
- * (`<dir>/store.lock`, which budget sweeps also take) and unlinks the
- * file (OutcomeStore's zero-byte self-healing, generalized), and the
- * run simulates its warmup normally.
+ * (`<dir>/store.lock`) and unlinks the file (OutcomeStore's zero-byte
+ * self-healing, generalized), and the run simulates its warmup
+ * normally.
+ *
+ * Nothing evicts warm files: the directory holds at most one file per
+ * warm key its campaign or search ever ran (DESIGN.md §5i).
  */
 
 #ifndef BOUQUET_HARNESS_WARMSTORE_HH
@@ -42,7 +45,6 @@
 #include <vector>
 
 #include "common/errors.hh"
-#include "harness/diskbudget.hh"
 
 namespace bouquet
 {
@@ -81,8 +83,8 @@ class WarmStore
     /** Immutable shared payload: loaders read, never mutate. */
     using Payload = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-    /** The one lock file every process sharing `dir` flocks to heal
-     *  or sweep. */
+    /** The one lock file every process sharing `dir` flocks to
+     *  heal. */
     static constexpr const char *kLockFile = "store.lock";
 
     /** Payloads the in-process cache holds; beyond it the disk
@@ -90,9 +92,9 @@ class WarmStore
     static constexpr std::size_t kMemEntries = 64;
 
     /**
-     * `dir` is created on first publish. When IPCP_WARM_BUDGET_MB is
-     * set the directory is swept (LRU files evicted down to the
-     * budget) here and before every publish.
+     * Creates `dir` (one level, as mkdir does) and opens its lock
+     * file. A directory that cannot be made is not an error here:
+     * publishes report it, and fetches miss.
      */
     explicit WarmStore(std::string dir);
     ~WarmStore();
@@ -155,12 +157,11 @@ class WarmStore
     class Lock;
 
     std::string dir_;
-    DiskBudget budget_;
     std::mutex mutex_;  //!< guards mem_ and writing_
     std::map<std::string, Entry> mem_;
     std::set<std::string> writing_;  //!< keys this process is writing
     std::mutex lockMutex_;  //!< in-process half of Lock
-    int lockFd_ = -1;       //!< the lock file, opened on first Lock
+    int lockFd_ = -1;       //!< the lock file, open for the store's life
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> publishes_{0};
@@ -186,8 +187,6 @@ class StatRegistry;
  *                                           publishes downgraded to
  *                                           pass-through (disk full
  *                                           or failing, §5i)
- *   ipcp.gc.{store,warm}.evicted            records/files evicted
- *                                           under the disk budgets
  *
  * Deliberately separate from System's per-run registry: these count
  * host-side cache effectiveness, which must never leak into the

@@ -48,10 +48,13 @@ IpcpL1::IpcpL1(IpcpL1Params p)
 std::size_t
 IpcpL1::storageBits() const
 {
-    // Table I, "IPCP at L1" row + the "Others" row.
-    const std::size_t ip_entry_bits = 36;   // 9+1+2+6+7+2+1+1+7
+    // Table I, "IPCP at L1" row + the "Others" row; the tag widths
+    // are knobs (Table I: 9 and 3).
+    const std::size_t ip_entry_bits =
+        params_.ipTagBits + 27;             // 9+1+2+6+7+2+1+1+7
     const std::size_t cspt_entry_bits = 9;  // 7+2
-    const std::size_t rst_entry_bits = 53;  // 3+5+32+6+1+1+1+1+3
+    const std::size_t rst_entry_bits =
+        params_.rstTagBits + 50;            // 3+5+32+6+1+1+1+1+3
     const std::size_t class_bits = 2ull * 64 * 12;  // per-line class ids
     const std::size_t rr_bits =
         static_cast<std::size_t>(params_.rrTagBits) * params_.rrEntries;
@@ -600,8 +603,8 @@ IpcpL1::audit() const
             fail("RST line offset outside the region");
         if (e.lru >= rst_.size())
             fail("RST LRU rank outside the table");
-        if (e.regionId >= 8)
-            fail("RST region id wider than 3 bits");
+        if (e.regionId >= (1u << params_.rstTagBits))
+            fail("RST region id wider than rstTagBits");
     }
     // Note: useful may legitimately exceed fills within an epoch — a
     // prefetch filled in the previous epoch (before the counters were

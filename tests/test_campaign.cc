@@ -485,12 +485,14 @@ TEST_F(CampaignTest, ScanReapsOnlyAgedPublishTemps)
 
 TEST_F(CampaignTest, WorkerStartReapsOnlyAgedCheckpointTemps)
 {
-    // A worker SIGKILLed during a checkpoint save or a stats publish
-    // leaves its hidden publish temp in ckpts/ or stats/. A starting
-    // worker removes it once it is older than 2xTTL, and keeps a temp
-    // a live publish may still rename and every checkpoint a rerun
-    // resumes from.
+    // A worker SIGKILLed during a checkpoint save, a stats publish or
+    // a warm publish leaves its hidden publish temp in ckpts/, stats/
+    // or warm/. A starting worker removes it once it is older than
+    // 2xTTL, and keeps a temp a live publish may still rename and
+    // every checkpoint a rerun resumes from.
     EnvGuard ttl("IPCP_LEASE_TTL", "2");
+    EnvGuard warm_dir("IPCP_WARM_DIR", nullptr);
+    EnvGuard warm("IPCP_WARM", nullptr);
     TempDir dir;
     const CampaignPaths paths(dir.file("camp"));
     ASSERT_TRUE(initCampaignDirs(paths).ok());
@@ -507,12 +509,17 @@ TEST_F(CampaignTest, WorkerStartReapsOnlyAgedCheckpointTemps)
         paths.statsDir() + "/.stats-00000000deadbeef.json.tmp.4242";
     const std::string fresh_stats =
         paths.statsDir() + "/.stats-00000000feedface.json.tmp.4244";
-    for (const std::string &path :
-         {aged, fresh, ckpt, aged_stats, fresh_stats})
+    const std::string aged_warm =
+        paths.warmDir() + "/.warm-00000000deadbeef.ckpt.tmp.4242";
+    const std::string fresh_warm =
+        paths.warmDir() + "/.warm-00000000feedface.ckpt.tmp.4244";
+    for (const std::string &path : {aged, fresh, ckpt, aged_stats,
+                                    fresh_stats, aged_warm, fresh_warm})
         std::ofstream(path) << "partial";
     backdate(aged, 5.0);
     backdate(ckpt, 5.0);
     backdate(aged_stats, 5.0);
+    backdate(aged_warm, 5.0);
 
     ASSERT_EQ(runWorker(paths.root), 0);
     EXPECT_FALSE(std::filesystem::exists(aged));
@@ -520,6 +527,8 @@ TEST_F(CampaignTest, WorkerStartReapsOnlyAgedCheckpointTemps)
     EXPECT_TRUE(std::filesystem::exists(ckpt));
     EXPECT_FALSE(std::filesystem::exists(aged_stats));
     EXPECT_TRUE(std::filesystem::exists(fresh_stats));
+    EXPECT_FALSE(std::filesystem::exists(aged_warm));
+    EXPECT_TRUE(std::filesystem::exists(fresh_warm));
 }
 
 TEST_F(CampaignTest, FutureDatedLeaseIsClampedNotTreatedAsMissing)
@@ -595,7 +604,7 @@ TEST_F(CampaignTest, QueueOperationsLeakNoFileDescriptors)
         std::string job;
         queue.readPulse("alpha", epoch, job);
         queue.recordFailure("bbbb", "synthetic");
-        queue.recordDegraded("bbbb", 1, 0, 0, 0, 0);
+        queue.recordDegraded("bbbb", 1, 0, 0, 0);
         queue.history("bbbb");
         queue.attemptCount("bbbb");
         queue.state("bbbb");
@@ -1176,8 +1185,7 @@ TEST_F(CampaignTest, WarmNospaceIsChargedToItsOwnJobOnly)
         if (i == 1) {
             EXPECT_EQ(lines,
                       (std::vector<std::string>{
-                          "degraded store=0 warm=1 ckpt=0 stats=0 "
-                          "evicted=0"}));
+                          "degraded store=0 warm=1 ckpt=0 stats=0"}));
         } else {
             EXPECT_TRUE(lines.empty()) << i << ": " << lines.front();
         }

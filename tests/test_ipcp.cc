@@ -509,6 +509,40 @@ TEST(IpcpStorage, MatchesTableI)
               740u + 155u);
 }
 
+TEST(IpcpStorage, TagWidthKnobsMoveStorageByEntriesTimesDelta)
+{
+    const IpcpL1Params l1;
+    const std::size_t l1_bits = IpcpL1(l1).storageBits();
+    IpcpL1Params ip = l1;
+    ip.ipTagBits += 2;
+    EXPECT_EQ(IpcpL1(ip).storageBits(), l1_bits + 2 * l1.ipEntries);
+    IpcpL1Params rst = l1;
+    rst.rstTagBits += 1;
+    EXPECT_EQ(IpcpL1(rst).storageBits(), l1_bits + 1 * l1.rstEntries);
+    IpcpL1Params rr = l1;
+    rr.rrTagBits += 3;
+    EXPECT_EQ(IpcpL1(rr).storageBits(), l1_bits + 3 * l1.rrEntries);
+
+    const IpcpL2Params l2;
+    IpcpL2Params l2_ip = l2;
+    l2_ip.ipTagBits += 2;
+    EXPECT_EQ(IpcpL2(l2_ip).storageBits(),
+              IpcpL2(l2).storageBits() + 2 * l2.ipEntries);
+}
+
+TEST(IpcpStorage, AuditAcceptsRegionIdsAsWideAsRstTagBits)
+{
+    FakeHost host;
+    IpcpL1Params params;
+    params.rstTagBits = 4;
+    IpcpL1 p(params);
+    p.setHost(&host);
+    // Region ids 8 and 9 need the fourth bit.
+    touchRegion(p, kBase + 8 * 2048, {kIp});
+    touchRegion(p, kBase + 9 * 2048, {kIp});
+    EXPECT_NO_THROW(p.audit());
+}
+
 // ---- L2 IPCP ------------------------------------------------------------------
 
 TEST(IpcpL2Test, DecodesMetadataAndKickStartsCs)

@@ -1,11 +1,10 @@
 /**
  * @file
- * Resource-exhaustion resilience tests (DESIGN.md §5i): disk-budget
- * LRU sweeps, OutcomeStore record GC, ENOSPC graceful degradation
- * through the *.nospace fault points and the degraded-publish ledger,
- * the supervisor's StallTracker, worker pulse beacons, and a seeded
- * random-bytes fuzzer proving every store reader heals or rejects
- * garbage instead of crashing.
+ * Resource-exhaustion resilience tests (DESIGN.md §5i): ENOSPC
+ * graceful degradation through the *.nospace fault points and the
+ * degraded-publish ledger, the supervisor's StallTracker, worker
+ * pulse beacons, and a seeded random-bytes fuzzer proving every store
+ * reader heals or rejects garbage instead of crashing.
  */
 
 #include <gtest/gtest.h>
@@ -33,7 +32,6 @@
 #include "common/publisher.hh"
 #include "common/rng.hh"
 #include "common/stateio.hh"
-#include "harness/diskbudget.hh"
 #include "harness/experiment.hh"
 #include "harness/factory.hh"
 #include "harness/outcomestore.hh"
@@ -48,34 +46,6 @@ namespace
 {
 
 using test::TempDir;
-
-/** Scoped environment override, restored on destruction. */
-struct EnvGuard
-{
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        had_ = old != nullptr;
-        old_ = had_ ? old : "";
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~EnvGuard()
-    {
-        if (had_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_;
-    std::string old_;
-};
 
 /**
  * Recursive-descent recogniser for JSON: document() is true when the
@@ -190,7 +160,7 @@ writeBytes(const std::string &path, const std::string &bytes)
              static_cast<std::streamsize>(bytes.size()));
 }
 
-/** Pin a file's atime+mtime to `secs` ago (LRU order for sweeps). */
+/** Pin a file's atime+mtime to `secs` ago. */
 void
 ageFile(const std::string &path, long secs)
 {
@@ -221,111 +191,7 @@ class ResilienceTest : public ::testing::Test
     void TearDown() override { FaultRegistry::instance().clear(); }
 };
 
-// ---- budget knob parsing ----
-
-TEST_F(ResilienceTest, EnvBudgetBytesParsesDecimalMegabytes)
-{
-    {
-        EnvGuard mb("IPCP_TEST_BUDGET_MB", "2");
-        EXPECT_EQ(envBudgetBytes("IPCP_TEST_BUDGET_MB"),
-                  2u * 1024 * 1024);
-    }
-    {
-        EnvGuard mb("IPCP_TEST_BUDGET_MB", "0.25");
-        EXPECT_EQ(envBudgetBytes("IPCP_TEST_BUDGET_MB"),
-                  256u * 1024);
-    }
-    {
-        EnvGuard mb("IPCP_TEST_BUDGET_MB", "0");
-        EXPECT_EQ(envBudgetBytes("IPCP_TEST_BUDGET_MB"), 0u);
-    }
-    {
-        EnvGuard mb("IPCP_TEST_BUDGET_MB", "-3");
-        EXPECT_EQ(envBudgetBytes("IPCP_TEST_BUDGET_MB"), 0u);
-    }
-    {
-        EnvGuard mb("IPCP_TEST_BUDGET_MB", nullptr);
-        EXPECT_EQ(envBudgetBytes("IPCP_TEST_BUDGET_MB"), 0u);
-    }
-}
-
-// ---- DiskBudget LRU sweep ----
-
-TEST_F(ResilienceTest, DiskBudgetSweepEvictsLruFamilyFilesOnly)
-{
-    TempDir dir;
-    writeBytes(dir.file("warm-a.ckpt"), std::string(400, 'a'));
-    writeBytes(dir.file("warm-b.ckpt"), std::string(400, 'b'));
-    writeBytes(dir.file("warm-c.ckpt"), std::string(400, 'c'));
-    writeBytes(dir.file("other.txt"), std::string(4000, 'x'));
-    ageFile(dir.file("warm-a.ckpt"), 300);  // LRU
-    ageFile(dir.file("warm-b.ckpt"), 200);
-    ageFile(dir.file("warm-c.ckpt"), 100);  // MRU
-
-    const std::uint64_t evicted0 = gcEvicted(BudgetKind::warm);
-
-    // Budget fits two of the three payload files; the non-family
-    // file never counts against it and is never a victim.
-    DiskBudget budget(dir.path, "warm-", ".ckpt", 900,
-                      BudgetKind::warm);
-    budget.sweep();
-
-    EXPECT_FALSE(
-        std::filesystem::exists(dir.file("warm-a.ckpt")));
-    EXPECT_TRUE(std::filesystem::exists(dir.file("warm-b.ckpt")));
-    EXPECT_TRUE(std::filesystem::exists(dir.file("warm-c.ckpt")));
-    EXPECT_TRUE(std::filesystem::exists(dir.file("other.txt")));
-    EXPECT_EQ(gcEvicted(BudgetKind::warm), evicted0 + 1);
-
-    // Incoming bytes reserve room: announcing a 500-byte publish
-    // forces another eviction even though 800 <= 900.
-    budget.sweep(500);
-    EXPECT_FALSE(
-        std::filesystem::exists(dir.file("warm-b.ckpt")));
-    EXPECT_TRUE(std::filesystem::exists(dir.file("warm-c.ckpt")));
-
-    // Budget 0 disables the sweep entirely.
-    DiskBudget off(dir.path, "warm-", ".ckpt", 0, BudgetKind::warm);
-    off.sweep(1u << 30);
-    EXPECT_TRUE(std::filesystem::exists(dir.file("warm-c.ckpt")));
-    EXPECT_FALSE(off.enabled());
-}
-
-TEST_F(ResilienceTest, DiskBudgetSweepSurvivesMissingDirectory)
-{
-    DiskBudget budget("/nonexistent/ipcp-test-dir", "warm-", ".ckpt",
-                      100, BudgetKind::warm);
-    budget.sweep();  // must not crash or throw
-}
-
-// ---- OutcomeStore: record GC, nospace degradation ----
-
-TEST_F(ResilienceTest, OutcomeStoreBudgetEvictsRecordsButKeepsNewest)
-{
-    TempDir dir;
-    const std::string path = dir.file("outcomes.bin");
-    // ~1 KiB: each record is ~4+keylen+sizeof(Outcome)+16 bytes, so
-    // a handful of puts must overflow and trigger record GC.
-    EnvGuard mb("IPCP_STORE_BUDGET_MB", "0.001");
-    const std::uint64_t evicted0 = gcEvicted(BudgetKind::store);
-
-    OutcomeStore store(path);
-    for (int i = 0; i < 6; ++i)
-        ASSERT_TRUE(
-            store.put("job-" + std::to_string(i), sampleOutcome(i))
-                .ok());
-
-    EXPECT_GT(store.evictions(), 0u);
-    EXPECT_LT(store.size(), 6u);
-    EXPECT_GE(store.size(), 1u) << "GC must keep at least one record";
-    EXPECT_GT(gcEvicted(BudgetKind::store), evicted0);
-
-    // The survivors re-read cleanly from disk in a fresh instance.
-    EnvGuard off("IPCP_STORE_BUDGET_MB", nullptr);
-    OutcomeStore reread(path);
-    EXPECT_EQ(reread.corruptRecords(), 0u);
-    EXPECT_GE(reread.size(), 1u);
-}
+// ---- OutcomeStore nospace degradation ----
 
 TEST_F(ResilienceTest, OutcomeStoreNospaceDegradesToPassThrough)
 {
@@ -482,33 +348,6 @@ TEST_F(ResilienceTest, FailedStatsJsonWriteOnlyCountsAStatsDegrade)
         }
     }
     EXPECT_TRUE(std::filesystem::is_empty(dir.path));
-}
-
-TEST_F(ResilienceTest, WarmStoreBudgetSweepsBeforePublish)
-{
-    TempDir dir;
-    EnvGuard mb("IPCP_WARM_BUDGET_MB", "0.0005");  // ~512 bytes
-    const std::uint64_t evicted0 = gcEvicted(BudgetKind::warm);
-
-    WarmStore store(dir.path);
-    ASSERT_TRUE(store
-                    .publish("a", 42,
-                             std::vector<std::uint8_t>(300, 1))
-                    .ok());
-    ageFile(store.pathFor("a"), 100);
-    ASSERT_TRUE(store
-                    .publish("b", 42,
-                             std::vector<std::uint8_t>(300, 2))
-                    .ok());
-
-    // Publishing b had to evict a's container to fit the budget.
-    EXPECT_GT(gcEvicted(BudgetKind::warm), evicted0);
-    EXPECT_FALSE(std::filesystem::exists(store.pathFor("a")));
-
-    // The evicted key heals to an ordinary miss for a fresh store.
-    WarmStore fresh(dir.path);
-    EXPECT_EQ(fresh.fetch("a", 42), nullptr);
-    EXPECT_NE(fresh.fetch("b", 42), nullptr);
 }
 
 // ---- checkpoint nospace + errno classification ----

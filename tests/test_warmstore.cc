@@ -179,6 +179,26 @@ TEST(WarmStore, PublishThenFetchAcrossInstances)
     EXPECT_EQ(reader.heals(), 0u);
 }
 
+TEST(WarmStore, PublishIntoDirectoryNotYetMadeLandsOnDisk)
+{
+    // IPCP_WARM_DIR may name a directory nobody has made: opening the
+    // store makes it, and its lock file, before the first publish.
+    TempDir dir;
+    const std::string warm = dir.file("warm");
+    ASSERT_FALSE(std::filesystem::exists(warm));
+    const std::vector<std::uint8_t> payload(256, 0x42);
+    {
+        WarmStore store(warm);
+        ASSERT_TRUE(store.publish("k|new-dir", 9, payload).ok());
+        EXPECT_TRUE(std::filesystem::exists(store.pathFor("k|new-dir")));
+    }
+    EXPECT_TRUE(std::filesystem::exists(warm + "/" + WarmStore::kLockFile));
+    WarmStore reader(warm);
+    WarmStore::Payload got = reader.fetch("k|new-dir", 9);
+    ASSERT_NE(got, nullptr);
+    EXPECT_TRUE(*got == payload);
+}
+
 TEST(WarmStore, ConcurrentPublishesLeaveOneCompleteFilePerKey)
 {
     TempDir dir;

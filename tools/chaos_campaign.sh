@@ -202,18 +202,13 @@ warm_pass "$WORK_DIR/warmC" "$WARM_JOBS" 0
 # ---- resource-exhaustion pass (DESIGN.md §5i) ----
 # The same sweep on a filesystem too small for its warm states must
 # *complete*: every publish that cannot land degrades to an in-memory
-# pass-through (counted in summary.json), the disk budgets GC what the
-# quota no longer allows, and report.json stays byte-identical to the
-# undisturbed serial reference — degradation is observable but never
-# changes a simulated byte.
+# pass-through (counted in summary.json), and report.json stays
+# byte-identical to the undisturbed serial reference — degradation is
+# observable but never changes a simulated byte.
 #
 # Preferred mode mounts a tiny tmpfs over the warm dir and fills it
 # with ballast so publishes hit real ENOSPC; without mount privileges
-# the *.nospace fault points emulate the full disk instead. Both modes
-# pre-seed the warm dir with stale junk under a sub-kilobyte
-# IPCP_WARM_BUDGET_MB so the open-time budget sweep provably evicts.
-# IPCP_STORE_BUDGET_MB deliberately stays unset: evicting outcome
-# records would force re-simulation, which this pass must not need.
+# the *.nospace fault points emulate the full disk instead.
 ENOSPC_DIR=$WORK_DIR/enospc
 WARM_SMALL=$WORK_DIR/warmsmall
 mkdir -p "$ENOSPC_DIR" "$WARM_SMALL"
@@ -229,19 +224,14 @@ if [ "${CHAOS_NO_MOUNT:-0}" = 0 ] && [ "$(id -u)" -eq 0 ] \
     ENOSPC_FAULTS=''
 fi
 
-# Stale warm junk for the budget sweep to reclaim (4 files against a
-# ~100-byte budget: all four must go).
-for i in 1 2 3 4; do
-    head -c 256 /dev/zero > "$WARM_SMALL/warm-seed$i.ckpt"
-done
 if [ "$ENOSPC_MODE" = tmpfs ]; then
     # Fill every remaining block so each real publish hits ENOSPC.
     dd if=/dev/zero of="$WARM_SMALL/ballast" bs=1024 2>/dev/null || true
 fi
 
-say "ENOSPC pass ($ENOSPC_MODE): warm dir full, ckpt writes failing, budget sweep on"
+say "ENOSPC pass ($ENOSPC_MODE): warm dir full, ckpt writes failing"
 env IPCP_FAULTS="$ENOSPC_FAULTS" IPCP_CKPT_EVERY=5000 \
-    IPCP_WARM_DIR="$WARM_SMALL" IPCP_WARM_BUDGET_MB=0.0001 \
+    IPCP_WARM_DIR="$WARM_SMALL" \
     "$CAMPAIGN_BIN" run "$ENOSPC_DIR" --workers 2 --no-progress \
     || die "ENOSPC campaign did not complete cleanly"
 
@@ -258,9 +248,8 @@ assert t["done"] == jobs - 1 and t["quarantined"] == 1, t
 degraded = (t["degraded_store_writes"] + t["degraded_warm_writes"] +
             t["degraded_ckpt_writes"] + t["degraded_stats_writes"])
 assert degraded > 0, t
-assert t["gc_evicted"] > 0, t
 EOF
-say "ENOSPC pass: report byte-identical, degradation + GC observed"
+say "ENOSPC pass: report byte-identical, degradation observed"
 
 # ---- stall-watchdog pass (DESIGN.md §5i) ----
 # A worker wedged in an infinite loop inside a claimed job — heartbeat

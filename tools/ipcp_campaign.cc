@@ -66,10 +66,8 @@ usage()
         "  status DIR           print one counts line and exit\n"
         "  aggregate DIR        rewrite report.json + summary.json\n"
         "env: IPCP_LEASE_TTL, IPCP_SIM_INSTRS, IPCP_WARMUP_INSTRS,\n"
-        "     IPCP_CKPT_EVERY, IPCP_WARM_BUDGET_MB\n"
-        "     (IPCP_STORE_BUDGET_MB does not apply: each job's done\n"
-        "     file carries its outcome; README.md's knob table lists\n"
-        "     every knob)\n";
+        "     IPCP_CKPT_EVERY, IPCP_WARM_DIR, IPCP_WARM\n"
+        "     (README.md's knob table lists every knob)\n";
 }
 
 /** ipcp_sim lives next to ipcp_campaign unless told otherwise. */

@@ -12,14 +12,13 @@
 #include "common/rng.hh"
 #include "ipcp/ipcp_l1.hh"
 #include "ipcp/ipcp_l2.hh"
+#include "prefetch/bingo.hh"
 #include "prefetch/bop.hh"
 #include "prefetch/mlop.hh"
 #include "prefetch/ppf.hh"
 #include "prefetch/simple.hh"
-#include "prefetch/sms.hh"
 #include "prefetch/spp.hh"
 #include "prefetch/tskid.hh"
-#include "prefetch/vldp.hh"
 #include "tests/test_support.hh"
 
 namespace
@@ -94,13 +93,6 @@ void BM_Bop(benchmark::State &state)
 }
 BENCHMARK(BM_Bop);
 
-void BM_Vldp(benchmark::State &state)
-{
-    VldpPrefetcher pf;
-    driveOperate(state, pf);
-}
-BENCHMARK(BM_Vldp);
-
 void BM_Spp(benchmark::State &state)
 {
     SppPrefetcher pf;
@@ -121,13 +113,6 @@ void BM_Mlop(benchmark::State &state)
     driveOperate(state, pf);
 }
 BENCHMARK(BM_Mlop);
-
-void BM_Sms(benchmark::State &state)
-{
-    SmsPrefetcher pf;
-    driveOperate(state, pf);
-}
-BENCHMARK(BM_Sms);
 
 void BM_Bingo(benchmark::State &state)
 {

@@ -47,12 +47,10 @@ main()
             {"ip-stride", CacheLevel::L1D},
             {"stream", CacheLevel::L1D},
             {"bop", CacheLevel::L1D},
-            {"vldp", CacheLevel::L2},
             {"spp", CacheLevel::L2},
             {"spp-ppf", CacheLevel::L2},
             {"dspatch", CacheLevel::L2},
             {"mlop", CacheLevel::L1D},
-            {"sms", CacheLevel::L1D},
             {"bingo", CacheLevel::L1D},
             {"bingo-119k", CacheLevel::L1D},
             {"tskid", CacheLevel::L1D},

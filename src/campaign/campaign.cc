@@ -5,8 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include <sys/stat.h>
-
 #include "common/env.hh"
 #include "common/stateio.hh"
 #include "harness/experiment.hh"
@@ -20,14 +18,6 @@ namespace
 {
 
 constexpr const char *kManifestHeader = "ipcp-campaign-manifest v1";
-
-Status
-ensureDir(const std::string &path)
-{
-    if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST)
-        return Status();
-    return makeError(Errc::io, "cannot create directory " + path, true);
-}
 
 } // namespace
 

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/degrade.hh"
@@ -97,6 +98,22 @@ keyHash(std::string_view key)
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(fnv1a(key)));
     return hex;
+}
+
+Status
+ensureDir(const std::string &path)
+{
+    if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST)
+        return Status();
+    // Only a missing ancestor is worth a second try.
+    const std::size_t slash = path.find_last_of('/');
+    if (errno == ENOENT && slash != std::string::npos && slash > 0) {
+        if (Status s = ensureDir(path.substr(0, slash)); !s.ok())
+            return s;
+        if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST)
+            return Status();
+    }
+    return makeError(Errc::io, "cannot create directory " + path, true);
 }
 
 Status

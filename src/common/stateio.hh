@@ -641,6 +641,14 @@ class StateIO
 Status publishFile(const std::string &path, std::string_view bytes);
 
 /**
+ * `mkdir -p`: create `path` and any missing ancestors (mode 0777 less
+ * the umask). An existing directory is success; publishFile does not
+ * create the directory it writes into, so every artifact directory is
+ * made through here first.
+ */
+Status ensureDir(const std::string &path);
+
+/**
  * Publish `payload` inside the checkpoint container — magic, format
  * version, build id, `hash`, size and CRC — through publishFile.
  * No fault points: callers that want them (checkpoints) add their own.

@@ -1,14 +1,11 @@
 #include "dse/dse.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-
-#include <sys/stat.h>
 
 #include "campaign/campaign.hh"
 #include "campaign/queue.hh"
@@ -26,14 +23,6 @@ namespace bouquet::dse
 
 namespace
 {
-
-Status
-ensureDir(const std::string &path)
-{
-    if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST)
-        return Status();
-    return makeError(Errc::io, "cannot create directory " + path, true);
-}
 
 /**
  * Point the WarmStore of every rung campaign (and, in fleet mode,

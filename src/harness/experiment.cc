@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
-#include <sys/stat.h>
 
 #include "common/degrade.hh"
 #include "common/env.hh"
@@ -104,6 +103,7 @@ prepareSystem(const BuildFn &build, const ExperimentConfig &cfg,
                              warm_key.c_str(),
                              errcName(st.error().code),
                              st.error().message.c_str());
+                store.discard(warm_key, hash, warm);
                 p.sys = build();  // loadWarmState may half-restore
             }
         }
@@ -212,7 +212,7 @@ ExperimentConfig::fromEnv()
     if (const char *dir = std::getenv("IPCP_CKPT_DIR");
         dir != nullptr && *dir != '\0') {
         cfg.ckptDir = dir;
-        ::mkdir(dir, 0777);
+        (void)ensureDir(dir);
     }
     const char *warm = std::getenv("IPCP_WARM");
     if (warm == nullptr || std::string(warm) != "0") {
@@ -223,7 +223,7 @@ ExperimentConfig::fromEnv()
     if (const char *dir = std::getenv("IPCP_STATS_DIR");
         dir != nullptr && *dir != '\0') {
         cfg.statsDir = dir;
-        ::mkdir(dir, 0777);
+        (void)ensureDir(dir);
     }
     return cfg;
 }

@@ -7,18 +7,16 @@
 #include "common/bitops.hh"
 #include "common/env.hh"
 #include "common/json.hh"
+#include "prefetch/bingo.hh"
 #include "prefetch/bop.hh"
 #include "prefetch/composite.hh"
 #include "prefetch/dol.hh"
 #include "prefetch/dspatch.hh"
 #include "prefetch/mlop.hh"
 #include "prefetch/ppf.hh"
-#include "prefetch/sandbox.hh"
 #include "prefetch/simple.hh"
-#include "prefetch/sms.hh"
 #include "prefetch/spp.hh"
 #include "prefetch/tskid.hh"
-#include "prefetch/vldp.hh"
 
 namespace bouquet
 {
@@ -26,79 +24,80 @@ namespace bouquet
 namespace
 {
 
+template <typename T>
+std::unique_ptr<Prefetcher>
+makeDefault(CacheLevel)
+{
+    return std::make_unique<T>();
+}
+
+std::unique_ptr<Prefetcher>
+makeNextLine(bool only_on_miss)
+{
+    NextLineParams p;
+    p.degree = 1;
+    p.onlyOnMiss = only_on_miss;
+    return std::make_unique<NextLinePrefetcher>(p);
+}
+
+std::unique_ptr<Prefetcher>
+makeBingo(CacheLevel level, unsigned history_entries,
+          unsigned accum_entries)
+{
+    SpatialParams p;
+    p.fillLevel = level;
+    p.historyEntries = history_entries;
+    p.accumEntries = accum_entries;
+    return std::make_unique<BingoPrefetcher>(p);
+}
+
+struct PrefetcherMaker
+{
+    const char *name;
+    std::unique_ptr<Prefetcher> (*make)(CacheLevel);
+};
+
+/** Every prefetcher name the factory builds, in presentation order. */
+const PrefetcherMaker kPrefetcherMakers[] = {
+    {"none", makeDefault<NoPrefetcher>},
+    {"nl", [](CacheLevel) { return makeNextLine(false); }},
+    // NL on demand accesses only (the L2/LLC companion in Table III).
+    {"nl-restrictive", [](CacheLevel) { return makeNextLine(true); }},
+    {"throttled-nl", makeDefault<ThrottledNextLine>},
+    {"ip-stride", makeDefault<IpStridePrefetcher>},
+    {"stream", makeDefault<StreamPrefetcher>},
+    {"bop", makeDefault<BopPrefetcher>},
+    {"spp", makeDefault<SppPrefetcher>},
+    {"spp-ppf", makeDefault<PpfPrefetcher>},
+    {"dspatch", makeDefault<DspatchPrefetcher>},
+    {"spp-ppf-dspatch",
+     [](CacheLevel) -> std::unique_ptr<Prefetcher> {
+         std::vector<std::unique_ptr<Prefetcher>> kids;
+         kids.push_back(std::make_unique<PpfPrefetcher>());
+         kids.push_back(std::make_unique<DspatchPrefetcher>());
+         return std::make_unique<CompositePrefetcher>(std::move(kids));
+     }},
+    {"mlop", makeDefault<MlopPrefetcher>},
+    // Tuned to the L1-D size (48 KB) as in the paper's Fig. 7.
+    {"bingo", [](CacheLevel l) { return makeBingo(l, 4096, 64); }},
+    {"bingo-119k", [](CacheLevel l) { return makeBingo(l, 8192, 128); }},
+    {"tskid", makeDefault<TskidPrefetcher>},
+    {"dol", makeDefault<DolPrefetcher>},
+    {"ipcp",
+     [](CacheLevel level) -> std::unique_ptr<Prefetcher> {
+         if (level == CacheLevel::L1D)
+             return std::make_unique<IpcpL1>();
+         return std::make_unique<IpcpL2>();
+     }},
+};
+
 /** makePrefetcher's body: Errc::unknown_name for a bad name. */
 Result<std::unique_ptr<Prefetcher>>
 tryMakePrefetcher(const std::string &name, CacheLevel level)
 {
-    if (name == "none")
-        return std::make_unique<NoPrefetcher>();
-    if (name == "nl") {
-        NextLineParams p;
-        p.degree = 1;
-        p.onlyOnMiss = false;
-        return std::make_unique<NextLinePrefetcher>(p);
-    }
-    if (name == "nl-restrictive") {
-        // NL on demand accesses only (the L2/LLC companion in Table III).
-        NextLineParams p;
-        p.degree = 1;
-        p.onlyOnMiss = true;
-        return std::make_unique<NextLinePrefetcher>(p);
-    }
-    if (name == "throttled-nl")
-        return std::make_unique<ThrottledNextLine>();
-    if (name == "ip-stride")
-        return std::make_unique<IpStridePrefetcher>();
-    if (name == "stream")
-        return std::make_unique<StreamPrefetcher>();
-    if (name == "bop")
-        return std::make_unique<BopPrefetcher>();
-    if (name == "sandbox")
-        return std::make_unique<SandboxPrefetcher>();
-    if (name == "vldp")
-        return std::make_unique<VldpPrefetcher>();
-    if (name == "spp")
-        return std::make_unique<SppPrefetcher>();
-    if (name == "spp-ppf")
-        return std::make_unique<PpfPrefetcher>();
-    if (name == "dspatch")
-        return std::make_unique<DspatchPrefetcher>();
-    if (name == "spp-ppf-dspatch") {
-        std::vector<std::unique_ptr<Prefetcher>> kids;
-        kids.push_back(std::make_unique<PpfPrefetcher>());
-        kids.push_back(std::make_unique<DspatchPrefetcher>());
-        return std::make_unique<CompositePrefetcher>(std::move(kids));
-    }
-    if (name == "mlop")
-        return std::make_unique<MlopPrefetcher>();
-    if (name == "sms") {
-        SpatialParams p;
-        p.fillLevel = level;
-        return std::make_unique<SmsPrefetcher>(p);
-    }
-    if (name == "bingo") {
-        // Tuned to the L1-D size (48 KB) as in the paper's Fig. 7.
-        SpatialParams p;
-        p.fillLevel = level;
-        p.historyEntries = 4096;
-        return std::make_unique<BingoPrefetcher>(p);
-    }
-    if (name == "bingo-119k") {
-        SpatialParams p;
-        p.fillLevel = level;
-        p.historyEntries = 8192;
-        p.accumEntries = 128;
-        return std::make_unique<BingoPrefetcher>(p);
-    }
-    if (name == "tskid")
-        return std::make_unique<TskidPrefetcher>();
-    if (name == "dol")
-        return std::make_unique<DolPrefetcher>();
-    if (name == "ipcp") {
-        if (level == CacheLevel::L1D)
-            return std::make_unique<IpcpL1>();
-        return std::make_unique<IpcpL2>();
-    }
+    for (const PrefetcherMaker &m : kPrefetcherMakers)
+        if (name == m.name)
+            return m.make(level);
     return makeError(Errc::unknown_name,
                      "unknown prefetcher: " + name);
 }
@@ -148,6 +147,10 @@ class FillAtL2 : public Prefetcher, private PrefetchHost
     {
         return inner_->storageBits();
     }
+
+    void serialize(StateIO &io) override { inner_->serialize(io); }
+
+    void audit() const override { inner_->audit(); }
 
   private:
     // PrefetchHost facade handed to the inner prefetcher.
@@ -432,6 +435,18 @@ makePrefetcher(const std::string &name, CacheLevel level)
     if (!pf.ok())
         throw std::invalid_argument(pf.error().message);
     return pf.take();
+}
+
+const std::vector<std::string> &
+prefetcherNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const PrefetcherMaker &m : kPrefetcherMakers)
+            out.emplace_back(m.name);
+        return out;
+    }();
+    return names;
 }
 
 Result<IpcpComboParams>

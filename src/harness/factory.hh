@@ -28,13 +28,15 @@ namespace bouquet
 /**
  * Instantiate a single prefetcher by name for a given cache level.
  *
- * Known names: none, nl, nl1 (degree-1), throttled-nl, ip-stride,
- * stream, bop, vldp, spp, spp-ppf, dspatch, mlop, sms, bingo (48 KB),
- * bingo-119k, tskid, dol, ipcp (level-appropriate IPCP).
- * Throws std::invalid_argument for unknown names.
+ * The known names are prefetcherNames(); `ipcp` builds the
+ * level-appropriate IPCP. Throws std::invalid_argument for unknown
+ * names.
  */
 std::unique_ptr<Prefetcher> makePrefetcher(const std::string &name,
                                            CacheLevel level);
+
+/** Every name makePrefetcher accepts, in the factory table's order. */
+const std::vector<std::string> &prefetcherNames();
 
 /**
  * Apply a named multi-level combination to every core of a system

@@ -141,8 +141,10 @@ warmupKey(const std::vector<TraceSpec> &specs,
 
 WarmStore::WarmStore(std::string dir) : dir_(std::move(dir))
 {
-    // publishFile writes into dir_ and does not create it.
-    ::mkdir(dir_.c_str(), 0777);
+    // publishFile writes into dir_ and does not create it. Best
+    // effort: without the directory every fetch misses and every
+    // publish warns.
+    (void)ensureDir(dir_);
     lockFd_ = ::open((dir_ + "/" + kLockFile).c_str(),
                      O_CREAT | O_RDWR | O_CLOEXEC, 0644);
     removeKeyLockSidecars(dir_);
@@ -213,6 +215,28 @@ WarmStore::fetch(const std::string &key, std::uint64_t config_hash)
     remember(key, config_hash, payload);
     hits_.fetch_add(1);
     return payload;
+}
+
+void
+WarmStore::discard(const std::string &key, std::uint64_t config_hash,
+                   const Payload &payload)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = mem_.find(key);
+        if (it != mem_.end() && it->second.payload == payload)
+            mem_.erase(it);
+    }
+    // Revalidated under the store lock, as fetch() heals: a file
+    // another process has since replaced is not the one removed.
+    const std::string path = pathFor(key);
+    Lock lock(*this);
+    Result<std::vector<std::uint8_t>> r =
+        readCheckpointFile(path, config_hash);
+    if (r.ok() && r.value() == *payload) {
+        ::unlink(path.c_str());
+        heals_.fetch_add(1);
+    }
 }
 
 Status

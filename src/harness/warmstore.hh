@@ -92,9 +92,9 @@ class WarmStore
     static constexpr std::size_t kMemEntries = 64;
 
     /**
-     * Creates `dir` (one level, as mkdir does) and opens its lock
-     * file. A directory that cannot be made is not an error here:
-     * publishes report it, and fetches miss.
+     * Creates `dir` and any missing parents (ensureDir) and opens
+     * its lock file. A directory that cannot be made is not an
+     * error here: publishes report it, and fetches miss.
      */
     explicit WarmStore(std::string dir);
     ~WarmStore();
@@ -135,6 +135,16 @@ class WarmStore
      */
     void remember(const std::string &key, std::uint64_t config_hash,
                   Payload payload);
+
+    /**
+     * Heal a payload fetch() returned that the caller could not load
+     * (a valid container around a payload of another layout): forget
+     * it in-process and unlink its file if the file still holds those
+     * bytes, so the next publish() lands fresh state instead of
+     * finding the file taken.
+     */
+    void discard(const std::string &key, std::uint64_t config_hash,
+                 const Payload &payload);
 
     /** The container file fetch/publish use for `key`. */
     std::string pathFor(const std::string &key) const;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -449,6 +450,63 @@ TEST_F(CheckpointTest, ResumeEquivalenceMatrixSingleCore)
     }
 }
 
+/**
+ * The same kill-and-resume equivalence for every prefetcher the
+ * factory builds, alone at the L1-D (`l1:<name>`), at the L2
+ * (`l2:<name>`) and trained at the L1-D but filling the L2
+ * (`l1fill2:<name>`). Restoring deep-audits the system, so each
+ * stateful prefetcher's serialize() and audit() run here; a table
+ * left out of serialize() shows up as a resumed run that drifts.
+ */
+class PrefetcherResumeTest
+    : public CheckpointTest,
+      public ::testing::WithParamInterface<std::string>
+{
+};
+
+TEST_P(PrefetcherResumeTest, ResumedRunMatchesUninterrupted)
+{
+    const ExperimentConfig cfg = tinyConfig();
+    const AttachFn attach = comboAttach(GetParam());
+    const Outcome golden = runSingleCore(testTrace(), attach, cfg);
+
+    TempDir dir;
+    ExperimentConfig save = cfg;
+    save.ckptPath = dir.file("run.ckpt");
+    save.ckptEvery = 5'000;
+    const Outcome saved = runSingleCore(testTrace(), attach, save);
+    EXPECT_TRUE(sameStats(golden, saved));
+
+    ExperimentConfig resume = cfg;
+    resume.resumePath = save.ckptPath;
+    const Outcome resumed = runSingleCore(testTrace(), attach, resume);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_GT(resumed.ckptCycle, 0u);
+    EXPECT_TRUE(sameStats(golden, resumed))
+        << "cycles " << golden.cycles << " -> " << resumed.cycles;
+}
+
+std::vector<std::string>
+everyPrefetcherAtEveryLevel()
+{
+    std::vector<std::string> combos;
+    for (const char *level : {"l1:", "l2:", "l1fill2:"})
+        for (const std::string &name : prefetcherNames())
+            combos.push_back(level + name);
+    return combos;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPrefetcher, PrefetcherResumeTest,
+    ::testing::ValuesIn(everyPrefetcherAtEveryLevel()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string n = info.param;
+        for (char &c : n)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return n;
+    });
+
 TEST_F(CheckpointTest, ResumeEquivalenceMatrixFourCores)
 {
     const std::vector<TraceSpec> specs(4, testTrace());
@@ -794,8 +852,11 @@ TEST_F(CheckpointTest, PerTickAuditRunsCleanAndChangesNothing)
     const Outcome audited = runSingleCore(testTrace(), attach, cfg);
     EXPECT_TRUE(sameStats(golden, audited));
 
-    // Also under the no-skip loop and a second combo, so the audit
-    // sweeps a different set of predictor tables.
+    // Also under the no-skip loop and a second combo. The per-tick
+    // audit is the shallow System::audit(false): it checks queue and
+    // MSHR bounds, DRAM, the cores and the cluster wakeups. Resident
+    // lines, replacement state and predictor tables are deep-only,
+    // reached by the audits at checkpoint save and restore.
     cfg.system.tickEveryCycle = true;
     const Outcome audited2 =
         runSingleCore(testTrace(), comboAttach("spp-ppf-dspatch"), cfg);

@@ -212,8 +212,7 @@ TEST_P(ComboInvariants, StatsAreConsistent)
 INSTANTIATE_TEST_SUITE_P(
     Combos, ComboInvariants,
     ::testing::Values("none", "ipcp", "ipcp-l1", "spp-ppf-dspatch",
-                      "mlop", "bingo", "tskid", "l1:sandbox",
-                      "l1:vldp", "l1:sms"),
+                      "mlop", "bingo", "tskid"),
     [](const ::testing::TestParamInfo<std::string> &info) {
         std::string n = info.param;
         for (char &c : n) {

@@ -3,18 +3,16 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "prefetch/bingo.hh"
 #include "prefetch/bop.hh"
 #include "prefetch/composite.hh"
 #include "prefetch/dol.hh"
 #include "prefetch/dspatch.hh"
 #include "prefetch/mlop.hh"
 #include "prefetch/ppf.hh"
-#include "prefetch/sandbox.hh"
 #include "prefetch/simple.hh"
-#include "prefetch/sms.hh"
 #include "prefetch/spp.hh"
 #include "prefetch/tskid.hh"
-#include "prefetch/vldp.hh"
 #include "tests/test_support.hh"
 
 namespace bouquet
@@ -218,45 +216,6 @@ TEST(Bop, TurnsOffOnRandomTraffic)
     EXPECT_TRUE(host.issued.empty());
 }
 
-// ---- VLDP ------------------------------------------------------------
-
-TEST(Vldp, PredictsRepeatingDeltas)
-{
-    FakeHost host;
-    VldpPrefetcher p;
-    p.setHost(&host);
-    // Same delta sequence on many pages so the DPTs train.
-    for (int page = 0; page < 8; ++page) {
-        const Addr base = kBase + static_cast<Addr>(page) * kPageSize;
-        int off = 0;
-        for (int i = 0; i < 12; ++i) {
-            p.operate(base + static_cast<Addr>(off) * kLineSize, kIp,
-                      false, AccessType::Load, 0);
-            off += (i % 2 == 0) ? 1 : 2;
-        }
-    }
-    EXPECT_FALSE(host.issued.empty());
-}
-
-TEST(Vldp, OptBootstrapsNewPage)
-{
-    FakeHost host;
-    VldpPrefetcher p;
-    p.setHost(&host);
-    // First delta from offset 0 is always 3: train OPT.
-    for (int page = 0; page < 6; ++page) {
-        const Addr base = kBase + static_cast<Addr>(page) * kPageSize;
-        p.operate(base, kIp, false, AccessType::Load, 0);
-        p.operate(base + 3 * kLineSize, kIp, false, AccessType::Load, 0);
-        p.operate(base + 6 * kLineSize, kIp, false, AccessType::Load, 0);
-    }
-    host.clear();
-    // A brand-new page starting at offset 0 should prefetch +3.
-    const Addr fresh = kBase + 100 * kPageSize;
-    p.operate(fresh, kIp, false, AccessType::Load, 0);
-    EXPECT_TRUE(host.issuedLine(lineAddr(fresh) + 3));
-}
-
 // ---- MLOP -------------------------------------------------------------
 
 TEST(Mlop, SelectsDominantOffset)
@@ -278,14 +237,14 @@ TEST(Mlop, SelectsDominantOffset)
     EXPECT_FALSE(host.issued.empty());
 }
 
-// ---- SMS / Bingo ---------------------------------------------------------
+// ---- Bingo ---------------------------------------------------------------
 
-TEST(Sms, ReplaysLearnedFootprint)
+TEST(Bingo, ReplaysLearnedFootprint)
 {
     FakeHost host;
     SpatialParams sp;
     sp.accumEntries = 2;  // force fast retirement into the history
-    SmsPrefetcher p(sp);
+    BingoPrefetcher p(sp);
     p.setHost(&host);
     // Region A: touch offsets 0,2,4 under one trigger IP.
     const Addr region_a = kBase;
@@ -526,57 +485,6 @@ TEST(Dol, StreamComponentFillsL2)
     for (const auto &i : host.issued)
         l2_fill = l2_fill || i.fillLevel == CacheLevel::L2;
     EXPECT_TRUE(l2_fill);
-}
-
-// ---- Sandbox ---------------------------------------------------------------
-
-TEST(Sandbox, PromotesProvenOffset)
-{
-    FakeHost host;
-    SandboxParams sp;
-    sp.evaluationPeriod = 128;
-    SandboxPrefetcher p(sp);
-    p.setHost(&host);
-    // A long unit-stride stream: the +1 candidate scores every trial.
-    Addr a = kBase;
-    for (int i = 0; i < 30000; ++i) {
-        p.operate(a, kIp, false, AccessType::Load, 0);
-        a += kLineSize;
-    }
-    // Some ascending offset must be promoted on an ascending stream.
-    bool ascending = false;
-    for (const auto &a : p.activeOffsets())
-        ascending = ascending || a.offset > 0;
-    EXPECT_TRUE(ascending);
-    EXPECT_FALSE(host.issued.empty());
-}
-
-TEST(Sandbox, RejectsOffsetsOnRandomTraffic)
-{
-    FakeHost host;
-    SandboxParams sp;
-    sp.evaluationPeriod = 128;
-    SandboxPrefetcher p(sp);
-    p.setHost(&host);
-    Rng rng(7);
-    for (int i = 0; i < 30000; ++i)
-        p.operate(kBase + rng.below(1 << 28) * kLineSize, kIp, false,
-                  AccessType::Load, 0);
-    EXPECT_TRUE(p.activeOffsets().empty());
-}
-
-TEST(Sandbox, StaysInPage)
-{
-    FakeHost host;
-    SandboxPrefetcher p;
-    p.setHost(&host);
-    Addr a = kBase;
-    for (int i = 0; i < 30000; ++i) {
-        p.operate(a, kIp, false, AccessType::Load, 0);
-        a += kLineSize;
-    }
-    for (const auto &i : host.issued)
-        EXPECT_EQ(i.addr % kLineSize, 0u);
 }
 
 // ---- Composite -----------------------------------------------------------

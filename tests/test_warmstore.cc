@@ -199,6 +199,23 @@ TEST(WarmStore, PublishIntoDirectoryNotYetMadeLandsOnDisk)
     EXPECT_TRUE(*got == payload);
 }
 
+TEST(WarmStore, PublishUnderMissingParentsLandsOnDisk)
+{
+    // Opening the store makes every missing ancestor too (mkdir -p).
+    TempDir dir;
+    const std::string warm = dir.file("a/b/warm");
+    ASSERT_FALSE(std::filesystem::exists(dir.file("a")));
+    const std::vector<std::uint8_t> payload(256, 0x17);
+    {
+        WarmStore store(warm);
+        ASSERT_TRUE(store.publish("k|deep", 5, payload).ok());
+    }
+    WarmStore reader(warm);
+    WarmStore::Payload got = reader.fetch("k|deep", 5);
+    ASSERT_NE(got, nullptr);
+    EXPECT_TRUE(*got == payload);
+}
+
 TEST(WarmStore, ConcurrentPublishesLeaveOneCompleteFilePerKey)
 {
     TempDir dir;
@@ -401,6 +418,49 @@ TEST(WarmStore, WarmStartIsByteIdenticalToColdAcrossSimLengths)
     expectSameSimulatedOutcome(cold_long, hit_long, "40k-vs-cold");
     EXPECT_EQ(readAll(dir.file("cold40.json")),
               readAll(dir.file("hit40.json")));
+}
+
+TEST(WarmStore, UnloadableWarmStateIsReplacedByTheNextPublish)
+{
+    // A container whose payload no longer loads (its layout changed
+    // under an unchanged format version) passes fetch(). The run then
+    // simulates its warmup, and its publish must replace the file
+    // rather than skip it as already written.
+    TempDir dir;
+    const std::string seed = dir.file("seed");
+    const Outcome cold = runOnce(dir, seed, 20'000, "cold.json");
+    EXPECT_FALSE(cold.warmStart);
+
+    std::string name;
+    for (const auto &entry : std::filesystem::directory_iterator(seed))
+        if (entry.path().filename().string().rfind("warm-", 0) == 0)
+            name = entry.path().filename().string();
+    ASSERT_FALSE(name.empty());
+    // The config hash is header bytes 16-23, little-endian.
+    const std::string image = readAll(seed + "/" + name);
+    ASSERT_GT(image.size(), 24u);
+    std::uint64_t hash = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        hash |= std::uint64_t(std::uint8_t(image[16 + i])) << (8 * i);
+    Result<std::vector<std::uint8_t>> good =
+        readCheckpointFile(seed + "/" + name, hash);
+    ASSERT_TRUE(good.ok());
+
+    // A second directory, so its store reads the file from disk.
+    const std::string warm = dir.file("warm");
+    std::filesystem::create_directories(warm);
+    const std::string path = warm + "/" + name;
+    std::vector<std::uint8_t> stale = good.value();
+    stale.push_back(0);  // one byte the reader does not expect
+    ASSERT_TRUE(writeCheckpointFile(path, hash, stale).ok());
+
+    const Outcome healed = runOnce(dir, warm, 20'000, "healed.json");
+    EXPECT_FALSE(healed.warmStart);
+    expectSameSimulatedOutcome(cold, healed, "healed-vs-cold");
+    Result<std::vector<std::uint8_t>> now = readCheckpointFile(path, hash);
+    ASSERT_TRUE(now.ok());
+    EXPECT_TRUE(now.value() == good.value())
+        << "the unloadable warm file was not replaced";
 }
 
 // ---- harness-level cache counters ----

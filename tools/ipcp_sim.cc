@@ -47,6 +47,24 @@ namespace
 
 using namespace bouquet;
 
+/** The `<pf>` names of `l1:<pf>`/`l2:<pf>`, wrapped under --combo. */
+std::string
+prefetcherList()
+{
+    const std::string indent(23, ' ');
+    std::string out = indent + "<pf>:";
+    std::size_t col = out.size();
+    for (const std::string &name : prefetcherNames()) {
+        if (col + 1 + name.size() > 72) {
+            out += "\n" + indent + "     ";
+            col = indent.size() + 5;
+        }
+        out += " " + name;
+        col += 1 + name.size();
+    }
+    return out + "\n";
+}
+
 void
 usage()
 {
@@ -64,6 +82,7 @@ usage()
         "spp-ppf-dspatch | mlop |\n"
         "                       bingo | bingo-119k | tskid | l1:<pf> | "
         "l2:<pf>\n"
+        << prefetcherList() <<
         "  --cores N            homogeneous N-core run (default 1)\n"
         "  --instructions N     measured instructions "
         "(default IPCP_SIM_INSTRS or 1e6)\n"
